@@ -1,11 +1,12 @@
 //! CLI: `cargo run -p privid-analyzer -- check [--root DIR]`.
 //!
 //! Exits 0 when the workspace has zero unsuppressed findings, 1 otherwise
-//! (including malformed suppressions), 2 on usage/config errors.
+//! (including malformed suppressions), 2 on usage/config errors — which
+//! include an allowlist entry naming a file that does not exist.
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use privid_analyzer::{config::Config, engine};
@@ -45,6 +46,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let orphans = orphaned_allowlist_entries(&root, &cfg);
+    if !orphans.is_empty() {
+        for orphan in &orphans {
+            eprintln!("error: {}: {orphan} names a file that does not exist", config_path.display());
+        }
+        return ExitCode::from(2);
+    }
     let report = match engine::run(&root, &cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -66,6 +74,20 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// `[[taint]].allow` and `[f64-exactness].files` entries with no file behind
+/// them. An orphaned allowlist line is a capability grant nobody reviews: the
+/// next file created at that path would inherit it silently, so the entry
+/// must leave the config together with the file.
+fn orphaned_allowlist_entries(root: &Path, cfg: &Config) -> Vec<String> {
+    let taint = cfg.taint.iter().flat_map(|g| g.allow.iter().map(move |f| (format!("[[taint]] `{}` allow", g.name), f)));
+    let float = cfg.float_files.iter().map(|f| ("[f64-exactness] files".to_string(), f));
+    taint
+        .chain(float)
+        .filter(|(_, file)| !root.join(file).is_file())
+        .map(|(key, file)| format!("{key} entry \"{file}\""))
+        .collect()
 }
 
 /// Walk up from the current directory to the first dir holding analyzer.toml.

@@ -265,6 +265,44 @@ fn injected_violation_fails_a_workspace_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An allowlist entry naming a file that does not exist is a config error
+/// (exit 2), not a clean run: the orphaned line would hand its capability to
+/// whatever file is next created at that path, with no review. Driven through
+/// the real binary, since the exit code is the CI contract.
+#[test]
+fn orphaned_allowlist_entry_is_a_config_error() {
+    let dir = std::env::temp_dir().join(format!("privid-analyzer-orphan-{}", std::process::id()));
+    let src_dir = dir.join("src");
+    std::fs::create_dir_all(&src_dir).expect("mkdir fixture workspace");
+    std::fs::write(src_dir.join("budget.rs"), "fn f(l: &L) { l.check_and_debit(w, m, e); }\n").unwrap();
+    let config = "[[taint]]\nname = \"budget-debit\"\nidents = [\"check_and_debit\"]\n\
+                  allow = [\"src/budget.rs\", \"src/deleted_bench.rs\"]\n\
+                  [f64-exactness]\nfiles = [\"src/gone_record.rs\"]\n";
+    std::fs::write(dir.join("analyzer.toml"), config).unwrap();
+    let check = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_privid-analyzer"))
+            .args(["check", "--root"])
+            .arg(&dir)
+            .output()
+            .expect("analyzer binary runs")
+    };
+
+    let out = check();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "orphaned entries must be a config error: {stderr}");
+    assert!(stderr.contains("src/deleted_bench.rs"), "the taint orphan is named: {stderr}");
+    assert!(stderr.contains("src/gone_record.rs"), "the f64-exactness orphan is named: {stderr}");
+    assert!(!stderr.contains("\"src/budget.rs\""), "entries with a file behind them are fine: {stderr}");
+
+    // Creating the files (or dropping the entries) makes the same tree clean.
+    std::fs::write(src_dir.join("deleted_bench.rs"), "fn g() {}\n").unwrap();
+    std::fs::write(src_dir.join("gone_record.rs"), "fn h() {}\n").unwrap();
+    let out = check();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The committed analyzer.toml must keep the storage `Vfs` layer inside the
 /// panic-freedom surface: `FaultVfs` and friends live on the serving path
 /// (every WAL byte flows through them), so a stray `unwrap` there is a

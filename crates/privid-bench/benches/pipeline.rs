@@ -1,13 +1,10 @@
 //! Criterion benchmark of the end-to-end split → process → aggregate → noise
 //! pipeline (the per-query cost an analyst experiences), plus a comparison of
-//! the chunk execution engine's worker counts against the pre-engine eager
-//! baseline (see `bench_snapshot` for the machine-readable form).
+//! the chunk execution engine's worker counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use privid::sandbox::{run_chunks, SandboxSpec};
-use privid::video::{split_scene, ChunkSpec, TimeSpan};
 use privid::{
-    ChunkProcessor, Parallelism, PrivacyPolicy, PrividSystem, SceneConfig, SceneGenerator, UniqueEntrantProcessor,
+    ChunkProcessor, Parallelism, PrivacyPolicy, QueryService, SceneConfig, SceneGenerator, UniqueEntrantProcessor,
 };
 use std::hint::black_box;
 
@@ -19,7 +16,7 @@ fn bench_pipeline(c: &mut Criterion) {
     for (name, chunk_secs) in [("chunk_5s", 5.0), ("chunk_30s", 30.0)] {
         group.bench_function(format!("count_query_10min_{name}"), |b| {
             b.iter(|| {
-                let mut sys = PrividSystem::new(1);
+                let sys = QueryService::new();
                 sys.register_camera("campus", scene.clone(), PrivacyPolicy::new(90.0, 2, 1e9)).expect("camera/processor registration must succeed");
                 sys.register_processor("proc", || {
                     Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
@@ -29,7 +26,7 @@ fn bench_pipeline(c: &mut Criterion) {
                      PROCESS c USING proc TIMEOUT 1 sec PRODUCING 20 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
                      SELECT COUNT(*) FROM t CONSUMING 1.0;"
                 );
-                black_box(sys.execute_text(&query).unwrap())
+                black_box(sys.execute_text(1, &query).unwrap())
             });
         });
     }
@@ -45,30 +42,18 @@ fn bench_execution_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
 
-    // The pre-engine hot path: eager owned chunks, serial sandbox loop.
-    group.bench_function("eager_split_and_run_240_chunks", |b| {
-        let factory = || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>;
-        let sandbox = SandboxSpec::new(1.0, 20, privid::query::Schema::new(vec![
-            privid::query::ColumnDef::number("count", 0.0),
-        ]).unwrap());
-        b.iter(|| {
-            let chunks = split_scene(&scene, &TimeSpan::from_secs(1200.0), &ChunkSpec::contiguous(5.0), None);
-            black_box(run_chunks(&factory, &chunks, &sandbox, false))
-        });
-    });
-
     for (name, parallelism) in [
         ("streaming_serial", Parallelism::Serial),
         ("streaming_workers_4", Parallelism::Fixed(4)),
         ("streaming_auto", Parallelism::Auto),
     ] {
         group.bench_function(format!("count_query_20min_{name}"), |b| {
-            let mut sys = PrividSystem::new(1).with_parallelism(parallelism);
+            let sys = QueryService::builder().parallelism(parallelism).build().expect("in-memory service builds");
             sys.register_camera("campus", scene.clone(), PrivacyPolicy::new(90.0, 2, 1e9)).expect("camera/processor registration must succeed");
             sys.register_processor("proc", || {
                 Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
             }).expect("camera/processor registration must succeed");
-            b.iter(|| black_box(sys.execute_text(query).unwrap()));
+            b.iter(|| black_box(sys.execute_text(1, query).unwrap()));
         });
     }
     group.finish();

@@ -1,240 +1,24 @@
-//! The single-analyst Privid executor and the query result types.
-//!
-//! [`PrividSystem`] is the original, synchronous entry point: one analyst,
-//! one query at a time, one continuous seeded noise stream across the
-//! system's whole query sequence (which makes experiment scripts exactly
-//! reproducible). Since the serving-layer refactor it is a thin wrapper over
-//! [`QueryService`] — registration, per-query sessions, budget admission and
-//! the cross-query chunk cache are all shared with the concurrent front-end;
-//! only the noise-stream policy differs.
-
-use crate::error::PrividError;
-use crate::mechanism::LaplaceMechanism;
-use crate::parallel::Parallelism;
-use crate::policy::{MaskPolicy, PrivacyPolicy};
-use crate::service::QueryService;
-use privid_query::{parse_query, ParsedQuery, ReleaseValue};
-use privid_sandbox::ChunkProcessor;
-use privid_video::Scene;
-use serde::{Deserialize, Serialize};
-
-/// The value of one noisy data release returned to the analyst.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum NoisyValue {
-    /// A numeric release (COUNT / SUM / AVG / VAR) with Laplace noise added.
-    Number(f64),
-    /// An ARGMAX release: the winning key under report-noisy-max.
-    Key(String),
-}
-
-impl NoisyValue {
-    /// The numeric content, if any.
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            NoisyValue::Number(n) => Some(*n),
-            NoisyValue::Key(_) => None,
-        }
-    }
-}
-
-/// One noisy data release plus the accounting metadata Privid tracks for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NoisyRelease {
-    /// Label describing the aggregation (and group key) this release belongs to.
-    pub label: String,
-    /// The group key, if the release came from a GROUP BY bucket.
-    pub group_key: Option<String>,
-    /// The value returned to the analyst.
-    pub value: NoisyValue,
-    /// The raw (pre-noise) value. **Evaluation only**: a deployment would
-    /// never expose this; the experiment harness uses it to measure accuracy
-    /// and to plot the "Privid (No Noise)" curves of Fig. 5.
-    pub raw: ReleaseValue,
-    /// Sensitivity used to calibrate the noise.
-    pub sensitivity: f64,
-    /// Laplace scale `b = Δ/ε` applied.
-    pub noise_scale: f64,
-    /// Privacy budget consumed by this release.
-    pub epsilon: f64,
-}
-
-/// The result of executing one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QueryResult {
-    /// Every data release of the query, in statement order.
-    pub releases: Vec<NoisyRelease>,
-    /// Total privacy budget consumed.
-    pub epsilon_spent: f64,
-    /// Total number of chunk executions the query required. Executions served
-    /// from the cross-query chunk cache count too, so this is a deterministic
-    /// function of the query — independent of what other queries ran before.
-    pub chunks_processed: usize,
-}
-
-impl QueryResult {
-    /// Convenience: the first release's numeric value.
-    pub fn first_number(&self) -> Option<f64> {
-        self.releases.first().and_then(|r| r.value.as_number())
-    }
-}
-
-/// The Privid system: the video owner's server, driven by one analyst.
-///
-/// All queries draw noise from a single mechanism seeded at construction, so
-/// a script's *sequence* of queries is exactly reproducible. For serving many
-/// analysts concurrently — each query independently seeded — use
-/// [`QueryService`] directly.
-pub struct PrividSystem {
-    service: QueryService,
-    mechanism: LaplaceMechanism,
-    /// Budget charged to a SELECT that has no `CONSUMING` clause.
-    pub default_epsilon: f64,
-    /// How many workers the chunk execution engine uses per PROCESS
-    /// statement. Results are bit-for-bit identical at every setting (the
-    /// engine merges outputs in deterministic chunk order); only wall-clock
-    /// time changes.
-    pub parallelism: Parallelism,
-}
-
-impl PrividSystem {
-    /// Create a system; `seed` makes the noise reproducible for experiments.
-    pub fn new(seed: u64) -> Self {
-        PrividSystem {
-            service: QueryService::new(),
-            mechanism: LaplaceMechanism::new(seed),
-            default_epsilon: 1.0,
-            parallelism: Parallelism::Auto,
-        }
-    }
-
-    /// Builder-style override of the execution engine's worker count.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Builder-style durability knob: persist admission state to a
-    /// write-ahead log and recover any existing state in the directory.
-    /// Replaces the inner service, so call it **before** registering
-    /// cameras or processors. The noise stream is unaffected (it lives in
-    /// this wrapper, seeded at construction).
-    pub fn with_durability(mut self, durability: privid_store::Durability) -> Result<Self, PrividError> {
-        self.service = QueryService::builder().durability(durability).build()?;
-        Ok(self)
-    }
-
-    /// What recovery did when this system was built over an existing store
-    /// (see [`QueryService::recovery_report`]).
-    pub fn recovery_report(&self) -> Option<&privid_store::RecoveryReport> {
-        self.service.recovery_report()
-    }
-
-    /// Snapshot the durable state and truncate the write-ahead log (no-op
-    /// without durability).
-    pub fn checkpoint(&self) -> Result<(), PrividError> {
-        self.service.checkpoint()
-    }
-
-    /// Counters of the chunk-result cache backing this system. (The inner
-    /// `QueryService` is deliberately not exposed: its own `execute` methods
-    /// would bypass this system's `parallelism`/`default_epsilon` knobs.)
-    pub fn cache_stats(&self) -> crate::cache::ChunkCacheStats {
-        self.service.cache_stats()
-    }
-
-    /// Register a camera with its recording and privacy policy. Fails only
-    /// on a durable system whose journal append fails.
-    pub fn register_camera(
-        &mut self,
-        name: impl Into<String>,
-        scene: Scene,
-        policy: PrivacyPolicy,
-    ) -> Result<(), PrividError> {
-        self.service.register_camera(name, scene, policy)
-    }
-
-    /// Register a live camera whose footage arrives via
-    /// [`PrividSystem::append_frames`].
-    pub fn register_live_camera(
-        &mut self,
-        name: impl Into<String>,
-        frame_rate: privid_video::FrameRate,
-        frame_size: privid_video::FrameSize,
-        policy: PrivacyPolicy,
-    ) -> Result<(), PrividError> {
-        self.service.register_live_camera(name, frame_rate, frame_size, policy)
-    }
-
-    /// Append freshly recorded footage to a live camera (see
-    /// [`QueryService::append_frames`]).
-    pub fn append_frames(
-        &mut self,
-        camera: &str,
-        batch: privid_video::FrameBatch,
-    ) -> Result<crate::service::AppendOutcome, PrividError> {
-        self.service.append_frames(camera, batch)
-    }
-
-    /// The recorded duration of a camera — a live camera's high-watermark.
-    pub fn live_edge(&self, camera: &str) -> Option<f64> {
-        self.service.live_edge(camera)
-    }
-
-    /// Publish a mask (and its reduced ρ) for a camera (§7.1).
-    pub fn register_mask(
-        &mut self,
-        camera: &str,
-        mask_id: impl Into<String>,
-        policy: MaskPolicy,
-    ) -> Result<(), PrividError> {
-        self.service.register_mask(camera, mask_id, policy)
-    }
-
-    /// Attach an analyst processor executable under a name. Fails only on a
-    /// durable system whose journal append fails.
-    pub fn register_processor<F>(&mut self, name: impl Into<String>, factory: F) -> Result<(), PrividError>
-    where
-        F: Fn() -> Box<dyn ChunkProcessor> + Send + Sync + 'static,
-    {
-        self.service.register_processor(name, factory)
-    }
-
-    /// Remaining per-frame budget of a camera at a given time.
-    pub fn remaining_budget(&self, camera: &str, at_secs: f64) -> Option<f64> {
-        self.service.remaining_budget(camera, at_secs)
-    }
-
-    /// The registered policy of a camera.
-    pub fn camera_policy(&self, camera: &str) -> Option<PrivacyPolicy> {
-        self.service.camera_policy(camera)
-    }
-
-    /// Parse and execute a textual query.
-    pub fn execute_text(&mut self, text: &str) -> Result<QueryResult, PrividError> {
-        let query = parse_query(text)?;
-        self.execute(&query)
-    }
-
-    /// Execute a parsed query.
-    pub fn execute(&mut self, query: &ParsedQuery) -> Result<QueryResult, PrividError> {
-        self.service.execute_session(query, &mut self.mechanism, self.parallelism, self.default_epsilon)
-    }
-}
+//! End-to-end tests of the query pipeline (split → process → admit →
+//! aggregate → noise) through [`QueryService`](crate::QueryService), one
+//! explicit noise seed per query. Test-only: the module keeps the
+//! `executor::tests` path these cases have always run under, so the suite's
+//! test ids stay stable.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use privid_sandbox::{CarTableProcessor, RedLightProcessor, UniqueEntrantProcessor};
+    use crate::{MaskPolicy, NoisyValue, Parallelism, PrivacyPolicy, PrividError, QueryService};
+    use privid_query::parse_query;
+    use privid_sandbox::{CarTableProcessor, ChunkProcessor, RedLightProcessor, UniqueEntrantProcessor};
     use privid_video::{Mask, SceneConfig, SceneGenerator};
 
-    fn campus_system() -> PrividSystem {
+    fn campus_service() -> QueryService {
         let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
-        let mut sys = PrividSystem::new(7);
-        sys.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
-        sys.register_processor("person_counter", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
-        sys.register_processor("car_table", || Box::new(CarTableProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
-        sys.register_processor("red_light", || Box::new(RedLightProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
-        sys
+        let svc = QueryService::new();
+        svc.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
+        svc.register_processor("person_counter", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
+        svc.register_processor("car_table", || Box::new(CarTableProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
+        svc.register_processor("red_light", || Box::new(RedLightProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
+        svc
     }
 
     const COUNT_QUERY: &str = "
@@ -245,8 +29,8 @@ mod tests {
 
     #[test]
     fn end_to_end_count_query_is_close_to_raw() {
-        let mut sys = campus_system();
-        let result = sys.execute_text(COUNT_QUERY).unwrap();
+        let svc = campus_service();
+        let result = svc.execute_text(7, COUNT_QUERY).unwrap();
         assert_eq!(result.releases.len(), 1);
         assert_eq!(result.epsilon_spent, 1.0);
         assert!(result.chunks_processed >= 120);
@@ -262,12 +46,12 @@ mod tests {
 
     #[test]
     fn budget_is_debited_and_eventually_exhausted() {
-        let mut sys = campus_system();
+        let svc = campus_service();
         // Policy budget is 20; each query consumes 1.0 on frames [0, 1200).
-        for _ in 0..20 {
-            sys.execute_text(COUNT_QUERY).unwrap();
+        for seed in 0..20 {
+            svc.execute_text(seed, COUNT_QUERY).unwrap();
         }
-        let err = sys.execute_text(COUNT_QUERY).unwrap_err();
+        let err = svc.execute_text(20, COUNT_QUERY).unwrap_err();
         assert!(matches!(err, PrividError::BudgetExhausted { .. }));
         // A disjoint window (more than ρ away) still has budget.
         let other_window = "
@@ -275,7 +59,7 @@ mod tests {
             PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
                 WITH SCHEMA (count:NUMBER=0) INTO people;
             SELECT COUNT(*) FROM people CONSUMING 1.0;";
-        sys.execute_text(other_window).unwrap();
+        svc.execute_text(21, other_window).unwrap();
     }
 
     #[test]
@@ -283,34 +67,34 @@ mod tests {
         // The 20 identical queries above also exercise the chunk cache; this
         // test pins the accounting: one sandbox execution, then cache hits,
         // with identical per-query results apart from the fresh noise.
-        let mut sys = campus_system();
-        let a = sys.execute_text(COUNT_QUERY).unwrap();
-        let b = sys.execute_text(COUNT_QUERY).unwrap();
+        let svc = campus_service();
+        let a = svc.execute_text(7, COUNT_QUERY).unwrap();
+        let b = svc.execute_text(8, COUNT_QUERY).unwrap();
         assert_eq!(a.chunks_processed, b.chunks_processed, "cache hits still count required executions");
         assert_eq!(a.releases[0].raw, b.releases[0].raw, "same raw table either way");
-        let stats = sys.cache_stats();
+        let stats = svc.cache_stats();
         assert_eq!(stats.misses, 1, "only the first query ran the sandbox");
         assert!(stats.hits >= 1);
     }
 
     #[test]
     fn unknown_camera_processor_and_mask_are_rejected() {
-        let mut sys = campus_system();
+        let svc = campus_service();
         let bad_cam = COUNT_QUERY.replace("SPLIT campus", "SPLIT nowhere");
-        assert!(matches!(sys.execute_text(&bad_cam), Err(PrividError::UnknownCamera(_))));
+        assert!(matches!(svc.execute_text(7, &bad_cam), Err(PrividError::UnknownCamera(_))));
         let bad_proc = COUNT_QUERY.replace("person_counter", "mystery.py");
-        assert!(matches!(sys.execute_text(&bad_proc), Err(PrividError::UnknownProcessor(_))));
+        assert!(matches!(svc.execute_text(7, &bad_proc), Err(PrividError::UnknownProcessor(_))));
         let bad_mask = COUNT_QUERY.replace("STRIDE 0 sec INTO", "STRIDE 0 sec WITH MASK ghost INTO");
-        assert!(matches!(sys.execute_text(&bad_mask), Err(PrividError::UnknownMask(_))));
+        assert!(matches!(svc.execute_text(7, &bad_mask), Err(PrividError::UnknownMask(_))));
     }
 
     #[test]
     fn window_past_the_recording_is_rejected_without_debit() {
         // Regression: the ledger used to clamp a fully disjoint window onto
         // the last real slot and debit it.
-        let mut sys = campus_system();
+        let svc = campus_service();
         let ghost = COUNT_QUERY.replace("BEGIN 0 END 1200", "BEGIN 5000 END 6200");
-        match sys.execute_text(&ghost) {
+        match svc.execute_text(7, &ghost) {
             Err(PrividError::WindowOutsideRecording { camera, start_secs, end_secs, duration_secs }) => {
                 assert_eq!(camera, "campus");
                 assert_eq!((start_secs, end_secs), (5000.0, 6200.0));
@@ -318,18 +102,18 @@ mod tests {
             }
             other => panic!("expected WindowOutsideRecording, got {other:?}"),
         }
-        assert!((sys.remaining_budget("campus", 1799.0).unwrap() - 20.0).abs() < 1e-9);
+        assert!((svc.remaining_budget("campus", 1799.0).unwrap() - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn mask_with_smaller_rho_lowers_noise() {
-        let mut sys = campus_system();
+        let svc = campus_service();
         let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
         let grid = privid_video::GridSpec::coarse(scene.frame_size);
-        sys.register_mask("campus", "benches", MaskPolicy::new(Mask::empty(grid), 20.0)).unwrap();
-        let unmasked = sys.execute_text(COUNT_QUERY).unwrap();
+        svc.register_mask("campus", "benches", MaskPolicy::new(Mask::empty(grid), 20.0)).unwrap();
+        let unmasked = svc.execute_text(7, COUNT_QUERY).unwrap();
         let masked_query = COUNT_QUERY.replace("STRIDE 0 sec INTO", "STRIDE 0 sec WITH MASK benches INTO");
-        let masked = sys.execute_text(&masked_query).unwrap();
+        let masked = svc.execute_text(8, &masked_query).unwrap();
         assert!(
             masked.releases[0].sensitivity < unmasked.releases[0].sensitivity,
             "ρ 20 s instead of 60 s must shrink the sensitivity"
@@ -338,14 +122,14 @@ mod tests {
 
     #[test]
     fn group_by_colors_produces_three_releases_splitting_budget() {
-        let mut sys = campus_system();
+        let svc = campus_service();
         let query = r#"
             SPLIT campus BEGIN 0 END 600 BY TIME 10 sec STRIDE 0 sec INTO chunks;
             PROCESS chunks USING car_table TIMEOUT 1 sec PRODUCING 10 ROWS
                 WITH SCHEMA (plate:STRING="", color:STRING="", speed:NUMBER=0) INTO cars;
             SELECT COUNT(plate) FROM (SELECT plate, color FROM cars GROUP BY plate)
                 GROUP BY color WITH KEYS ["RED", "WHITE", "SILVER"] CONSUMING 0.9;"#;
-        let result = sys.execute_text(query).unwrap();
+        let result = svc.execute_text(7, query).unwrap();
         assert_eq!(result.releases.len(), 3);
         for r in &result.releases {
             assert!((r.epsilon - 0.3).abs() < 1e-12, "budget split evenly across the three keys");
@@ -361,15 +145,15 @@ mod tests {
             SceneConfig::highway().with_duration_hours(0.25).with_arrival_scale(0.2),
         )
         .generate();
-        let mut sys = PrividSystem::new(3);
-        sys.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
-        sys.register_processor("car_table", || Box::new(CarTableProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
+        let svc = QueryService::new();
+        svc.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
+        svc.register_processor("car_table", || Box::new(CarTableProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
         let query = r#"
             SPLIT campus BEGIN 0 END 600 BY TIME 10 sec STRIDE 0 sec INTO chunks;
             PROCESS chunks USING car_table TIMEOUT 1 sec PRODUCING 10 ROWS
                 WITH SCHEMA (plate:STRING="", color:STRING="", speed:NUMBER=0) INTO cars;
             SELECT ARGMAX(color) FROM cars CONSUMING 1.0;"#;
-        let result = sys.execute_text(query).unwrap();
+        let result = svc.execute_text(3, query).unwrap();
         match &result.releases[0].value {
             NoisyValue::Key(k) => assert!(!k.is_empty()),
             other => panic!("expected a key release, got {other:?}"),
@@ -378,19 +162,19 @@ mod tests {
 
     #[test]
     fn missing_select_or_table_is_invalid_and_free() {
-        let mut sys = campus_system();
+        let svc = campus_service();
         let no_select = "
             SPLIT campus BEGIN 0 END 600 BY TIME 10 sec STRIDE 0 sec INTO chunks;
             PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
                 WITH SCHEMA (count:NUMBER=0) INTO people;";
-        assert!(matches!(sys.execute_text(no_select), Err(PrividError::Invalid(_))));
+        assert!(matches!(svc.execute_text(7, no_select), Err(PrividError::Invalid(_))));
         // Regression (review): a typo'd table name used to be caught only
         // *after* budget admission, permanently debiting ε for a query that
         // released nothing.
         let wrong_table = COUNT_QUERY.replace("FROM people", "FROM ghosts");
-        assert!(matches!(sys.execute_text(&wrong_table), Err(PrividError::Invalid(_))));
+        assert!(matches!(svc.execute_text(7, &wrong_table), Err(PrividError::Invalid(_))));
         assert!(
-            (sys.remaining_budget("campus", 600.0).unwrap() - 20.0).abs() < 1e-9,
+            (svc.remaining_budget("campus", 600.0).unwrap() - 20.0).abs() < 1e-9,
             "a rejected SELECT must not consume budget"
         );
     }
@@ -414,31 +198,31 @@ mod tests {
             )
         };
         // Gap 300 s > 2ρ (= 120 s): the gap keeps its full budget.
-        let mut sys = campus_system();
-        sys.execute_text(&two_splits(600, 900)).unwrap();
-        assert!((sys.remaining_budget("campus", 100.0).unwrap() - 19.0).abs() < 1e-9, "first window debited ε_total");
-        assert!((sys.remaining_budget("campus", 700.0).unwrap() - 19.0).abs() < 1e-9, "second window debited ε_total");
-        assert!((sys.remaining_budget("campus", 450.0).unwrap() - 20.0).abs() < 1e-9, "gap frames untouched");
+        let svc = campus_service();
+        svc.execute_text(7, &two_splits(600, 900)).unwrap();
+        assert!((svc.remaining_budget("campus", 100.0).unwrap() - 19.0).abs() < 1e-9, "first window debited ε_total");
+        assert!((svc.remaining_budget("campus", 700.0).unwrap() - 19.0).abs() < 1e-9, "second window debited ε_total");
+        assert!((svc.remaining_budget("campus", 450.0).unwrap() - 20.0).abs() < 1e-9, "gap frames untouched");
         // Gap 100 s ≤ 2ρ: merged into one window, hull semantics preserved.
-        let mut sys = campus_system();
-        sys.execute_text(&two_splits(400, 700)).unwrap();
-        assert!((sys.remaining_budget("campus", 350.0).unwrap() - 19.0).abs() < 1e-9, "near gap is debited");
+        let svc = campus_service();
+        svc.execute_text(7, &two_splits(400, 700)).unwrap();
+        assert!((svc.remaining_budget("campus", 350.0).unwrap() - 19.0).abs() < 1e-9, "near gap is debited");
     }
 
     #[test]
     fn red_light_query_with_full_mask_is_exact_up_to_noise_scale() {
         // Case 4 (Q10–Q12): masking everything except the light yields ρ = 0,
         // so the sensitivity collapses to max_rows · K · 1 and accuracy is high.
-        let mut sys = campus_system();
+        let svc = campus_service();
         let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
         let grid = privid_video::GridSpec::coarse(scene.frame_size);
-        sys.register_mask("campus", "all_but_light", MaskPolicy::new(Mask::empty(grid), 0.0)).unwrap();
+        svc.register_mask("campus", "all_but_light", MaskPolicy::new(Mask::empty(grid), 0.0)).unwrap();
         let query = "
             SPLIT campus BEGIN 0 END 1800 BY TIME 600 sec STRIDE 0 sec WITH MASK all_but_light INTO chunks;
             PROCESS chunks USING red_light TIMEOUT 1 sec PRODUCING 1 ROWS
                 WITH SCHEMA (red_secs:NUMBER=0) INTO lights;
             SELECT AVG(range(red_secs, 0, 300)) FROM lights CONSUMING 1.0;";
-        let result = sys.execute_text(query).unwrap();
+        let result = svc.execute_text(7, query).unwrap();
         let release = &result.releases[0];
         assert_eq!(release.raw.as_number().unwrap(), 75.0);
         // Δ = 1·2·1·(300-0)/num_chunks(=3) = 200 … still modest; the key check
@@ -448,16 +232,16 @@ mod tests {
 
     #[test]
     fn spatial_split_soft_boundary_requires_single_frame_chunks() {
-        let mut sys = campus_system();
+        let svc = campus_service();
         let query = "
             SPLIT campus BEGIN 0 END 600 BY TIME 10 sec STRIDE 0 sec BY REGION default INTO chunks;
             PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
                 WITH SCHEMA (count:NUMBER=0) INTO people;
             SELECT COUNT(*) FROM people CONSUMING 1.0;";
-        assert!(matches!(sys.execute_text(query), Err(PrividError::SoftBoundaryChunkTooLarge { .. })));
+        assert!(matches!(svc.execute_text(7, query), Err(PrividError::SoftBoundaryChunkTooLarge { .. })));
         // With single-frame chunks it works (campus default scheme is soft).
         let ok_query = query.replace("BY TIME 10 sec", "BY TIME 1 sec");
-        let result = sys.execute_text(&ok_query).unwrap();
+        let result = svc.execute_text(7, &ok_query).unwrap();
         assert!(result.chunks_processed >= 1200, "one execution per chunk per region");
     }
 
@@ -467,16 +251,16 @@ mod tests {
         // used to slip through planning (statement_sensitivities returns an
         // empty vec, and `sensitivities[0]` was one data-shape away from
         // panicking) and silently consumed budget while releasing nothing.
-        let mut sys = campus_system();
-        let budget_before = sys.remaining_budget("campus", 600.0).unwrap();
+        let svc = campus_service();
+        let budget_before = svc.remaining_budget("campus", 600.0).unwrap();
         let mut query = parse_query(COUNT_QUERY).unwrap();
         query.selects[0].aggregations.clear();
-        match sys.execute(&query) {
+        match svc.execute(7, &query) {
             Err(PrividError::Invalid(msg)) => assert!(msg.contains("no aggregations"), "got: {msg}"),
             other => panic!("expected Invalid, got {other:?}"),
         }
         assert_eq!(
-            sys.remaining_budget("campus", 600.0).unwrap(),
+            svc.remaining_budget("campus", 600.0).unwrap(),
             budget_before,
             "a rejected query must not consume budget"
         );
@@ -486,29 +270,15 @@ mod tests {
     fn explicit_parallelism_settings_execute_the_same_query() {
         let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
         let mut results = Vec::new();
-        for parallelism in [crate::Parallelism::Serial, crate::Parallelism::Fixed(3), crate::Parallelism::Auto] {
-            let mut sys = PrividSystem::new(5).with_parallelism(parallelism);
-            sys.register_camera("campus", scene.clone(), PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
-            sys.register_processor("person_counter", || {
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(3), Parallelism::Auto] {
+            let svc = QueryService::builder().parallelism(parallelism).build().expect("in-memory service builds");
+            svc.register_camera("campus", scene.clone(), PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
+            svc.register_processor("person_counter", || {
                 Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
             }).expect("camera/processor registration must succeed");
-            results.push(sys.execute_text(COUNT_QUERY).unwrap());
+            results.push(svc.execute_text(5, COUNT_QUERY).unwrap());
         }
         assert_eq!(results[0], results[1], "worker count must not change any release");
         assert_eq!(results[0], results[2]);
-    }
-
-    #[test]
-    fn noise_is_reproducible_for_a_seed() {
-        let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
-        let mut a = PrividSystem::new(99);
-        a.register_camera("campus", scene.clone(), PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
-        a.register_processor("person_counter", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
-        let mut b = PrividSystem::new(99);
-        b.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
-        b.register_processor("person_counter", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
-        let ra = a.execute_text(COUNT_QUERY).unwrap();
-        let rb = b.execute_text(COUNT_QUERY).unwrap();
-        assert_eq!(ra.releases[0].value, rb.releases[0].value);
     }
 }

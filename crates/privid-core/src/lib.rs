@@ -12,18 +12,19 @@
 //! * [`health`] — per-camera `Healthy → Degraded → Quarantined` states that
 //!   scope a storage fault to the camera it hit, plus the bounded-backoff
 //!   retry policy for transient journal failures.
-//! * [`service`] — the concurrent multi-analyst serving layer
-//!   ([`QueryService`]): `RwLock`ed camera/processor registries, per-query
-//!   sessions with per-query noise seeds, and the cross-query chunk cache.
-//! * [`session`] — per-query execution: split → process → admit → aggregate
-//!   → noise, shared by both front-ends.
+//! * [`service`] — [`QueryService`], the one in-process entry point:
+//!   `RwLock`ed camera/processor registries, per-query sessions with
+//!   per-query noise seeds, and the cross-query chunk cache. Built by
+//!   [`QueryService::new`] or [`QueryService::builder`].
+//! * `session` — per-query execution behind [`QueryService::execute`]:
+//!   split → process → admit → aggregate → noise (Algorithm 1).
 //! * [`cache`] — the cross-query chunk-result cache (raw sandbox outputs,
 //!   DP-safe to share because noise is applied at release time).
 //! * [`aggcache`] — the second cache tier: folded per-(plan, chunk-prefix)
 //!   aggregate states, shared across analysts running the same sub-plan and
 //!   extended incrementally by standing queries.
-//! * [`executor`] — the single-analyst front-end ([`PrividSystem`]) and the
-//!   release/result types.
+//! * [`release`] — the release/result types ([`NoisyValue`],
+//!   [`NoisyRelease`], [`QueryResult`]).
 //! * durability (the `privid-store` crate, re-exported here) — the
 //!   write-ahead log + snapshot subsystem behind the [`Durability`] knob on
 //!   [`QueryServiceBuilder`]: admissions journal their debits before any slot
@@ -39,21 +40,22 @@
 //! ## Quick example
 //!
 //! ```
-//! use privid_core::{PrividSystem, PrivacyPolicy};
+//! use privid_core::{PrivacyPolicy, QueryService};
 //! use privid_sandbox::{ChunkProcessor, UniqueEntrantProcessor};
 //! use privid_video::{SceneConfig, SceneGenerator};
 //!
 //! // The video owner registers a camera, a policy, and accepts queries.
 //! let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.25)).generate();
-//! let mut privid = PrividSystem::new(42);
+//! let privid = QueryService::new();
 //! privid.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 10.0)).unwrap();
 //! privid.register_processor("person_counter", || {
 //!     Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
 //! }).unwrap();
 //!
-//! // The analyst submits a textual query.
+//! // The analyst submits a textual query; the owner picks its noise seed.
 //! let result = privid
 //!     .execute_text(
+//!         42,
 //!         "SPLIT campus BEGIN 0 END 600 BY TIME 10 sec STRIDE 0 sec INTO chunks;
 //!          PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
 //!              WITH SCHEMA (count:NUMBER=0) INTO people;
@@ -71,12 +73,14 @@ pub mod budget;
 pub mod cache;
 pub mod degradation;
 pub mod error;
-pub mod executor;
+#[cfg(test)]
+mod executor;
 pub mod health;
 pub mod masking;
 pub mod mechanism;
 pub mod parallel;
 pub mod policy;
+pub mod release;
 pub mod service;
 mod session;
 pub mod spatial;
@@ -89,7 +93,6 @@ pub use budget::{
 pub use cache::{ChunkCacheKey, ChunkCacheStats, ChunkResultCache};
 pub use degradation::{detection_probability_bound, DegradationCurve};
 pub use error::PrividError;
-pub use executor::{NoisyRelease, NoisyValue, PrividSystem, QueryResult};
 pub use health::{CameraHealth, StoreRetryPolicy};
 pub use parallel::{execute_plan, Parallelism};
 pub use privid_store::{
@@ -100,4 +103,5 @@ pub use service::{AppendOutcome, QueryService, QueryServiceBuilder, StandingFiri
 pub use masking::{greedy_mask_order, MaskPlan, MaskingAnalysis};
 pub use mechanism::{laplace_noise, report_noisy_max, LaplaceMechanism};
 pub use policy::{MaskPolicy, PrivacyPolicy};
+pub use release::{NoisyRelease, NoisyValue, QueryResult};
 pub use spatial::{region_output_ranges, RegionRangeReport};

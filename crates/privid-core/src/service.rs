@@ -1,10 +1,9 @@
 //! The concurrent, multi-analyst query service.
 //!
-//! [`crate::PrividSystem`] executes one query at a time on the caller's
-//! thread — fine for experiments, the wrong shape for a video owner serving
-//! many analysts. [`QueryService`] is the shared front-end: registration and
-//! lookup go through read-mostly registries (`RwLock`-guarded maps of
-//! `Arc`-shared per-camera state), every admission funnels through the
+//! [`QueryService`] is the one in-process entry point, for a single
+//! experiment script and for a video owner serving many analysts alike.
+//! Registration and lookup go through read-mostly registries (`RwLock`-guarded
+//! maps of `Arc`-shared per-camera state), every admission funnels through the
 //! [`AdmissionController`] in `budget` (the single serialization point), and
 //! each query runs as an independent session with its own seeded noise
 //! stream. Any number of threads can call [`QueryService::execute`]
@@ -31,11 +30,11 @@ use crate::budget::{
 };
 use crate::cache::{ChunkCacheStats, ChunkResultCache};
 use crate::error::PrividError;
-use crate::executor::QueryResult;
 use crate::health::{CameraHealth, StoreRetryPolicy};
 use crate::mechanism::LaplaceMechanism;
 use crate::parallel::Parallelism;
 use crate::policy::{MaskPolicy, PrivacyPolicy};
+use crate::release::QueryResult;
 use crate::session;
 use privid_query::{parse_query, ParsedQuery};
 use privid_sandbox::{ChunkProcessor, ProcessorFactory};
@@ -169,7 +168,8 @@ const AGG_CACHE_FACTOR: usize = 16;
 
 /// A shared, concurrent Privid query service.
 ///
-/// Construction is builder-style; all serving methods take `&self`:
+/// Construction is [`QueryService::new`] (all defaults) or
+/// [`QueryService::builder`]; all serving methods take `&self`:
 ///
 /// ```
 /// use privid_core::{QueryService, PrivacyPolicy};
@@ -213,9 +213,12 @@ pub struct QueryService {
     /// counter past every shard's generations.
     generations: AtomicU64,
     /// Budget charged to a SELECT that has no `CONSUMING` clause.
-    default_epsilon: f64,
+    pub(crate) default_epsilon: f64,
     /// Worker count of the chunk execution engine, per PROCESS statement.
-    parallelism: Parallelism,
+    /// Releases are bit-for-bit identical at every setting (the engine
+    /// merges outputs in deterministic chunk order); only wall-clock time
+    /// changes.
+    pub(crate) parallelism: Parallelism,
     /// What recovery did across all shards when this service was built
     /// (None without durability, or when every shard was fresh).
     recovery: Option<RecoveryReport>,
@@ -368,66 +371,13 @@ impl QueryService {
         }
     }
 
-    /// Start building a service — the way to construct one with durability.
+    /// Start building a service — the one way to configure anything beyond
+    /// the defaults (worker count, default ε, shards, cache capacity,
+    /// durability, …). Every knob is resolved once, at
+    /// [`QueryServiceBuilder::build`], so the order the knobs are set in
+    /// never matters.
     pub fn builder() -> QueryServiceBuilder {
         QueryServiceBuilder::default()
-    }
-
-    /// Builder-style override of the execution engine's worker count.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Builder-style override of the ε charged to SELECTs without `CONSUMING`.
-    pub fn with_default_epsilon(mut self, epsilon: f64) -> Self {
-        self.default_epsilon = epsilon;
-        self
-    }
-
-    /// Builder-style override of how many firings each standing query
-    /// retains for polling (default 1024; clamped to at least 1).
-    pub fn with_standing_retention(mut self, retained: usize) -> Self {
-        self.standing_retention = retained.max(1);
-        self
-    }
-
-    /// Builder-style override of the shard count (default 1). Shards
-    /// partition the serving plane by camera-id hash: each gets its own
-    /// registries, admission gate, health registry and cache tiers. Call
-    /// *before* registering anything — resharding does not migrate existing
-    /// registrations. (Durable services configure this through
-    /// [`QueryServiceBuilder::shards`], which also shards the WAL layout.)
-    pub fn with_shards(mut self, n: usize) -> Self {
-        let n = n.max(1);
-        self.shards = (0..n).map(|k| ServiceShard::new(k, None)).collect();
-        self
-    }
-
-    /// Builder-style override of the chunk cache's capacity (0 disables it).
-    /// The aggregate-state tier scales with it (entries there are a few
-    /// folded states, far smaller than a chunk's rows): `0` disables both.
-    /// The capacity is split across shards (ceiling division).
-    pub fn with_cache_capacity(mut self, max_entries: usize) -> Self {
-        let per_shard = split_capacity(max_entries, self.shards.len());
-        for shard in &mut self.shards {
-            shard.cache = ChunkResultCache::with_capacity(per_shard);
-            shard.agg_cache = AggStateCache::with_capacity(per_shard.saturating_mul(AGG_CACHE_FACTOR));
-        }
-        self
-    }
-
-    /// Builder-style override of the aggregate-state tier alone (0 disables
-    /// it, which also turns off incremental standing-query execution). The
-    /// chunk cache keeps its own capacity — this is the knob benchmarks use
-    /// to compare the fold-every-time path against tier-2 sharing on equal
-    /// tier-1 footing. Split across shards like the tier-1 capacity.
-    pub fn with_agg_cache_capacity(mut self, max_entries: usize) -> Self {
-        let per_shard = split_capacity(max_entries, self.shards.len());
-        for shard in &mut self.shards {
-            shard.agg_cache = AggStateCache::with_capacity(per_shard);
-        }
-        self
     }
 
     // ---- registration -------------------------------------------------------------------
@@ -1075,7 +1025,7 @@ impl QueryService {
             }
         }
         for query in prefolds {
-            session::prefold_standing(self, &query, self.parallelism);
+            session::prefold_standing(self, &query);
         }
         fired
     }
@@ -1087,7 +1037,7 @@ impl QueryService {
     /// which one served a firing is observable only in latency.
     fn execute_standing_query(&self, seed: u64, query: &ParsedQuery) -> Result<QueryResult, PrividError> {
         let mut mechanism = LaplaceMechanism::new(seed);
-        match session::execute_standing(self, query, &mut mechanism, self.parallelism, self.default_epsilon) {
+        match session::execute_standing(self, query, &mut mechanism) {
             Ok(Some(result)) => Ok(result),
             Ok(None) => self.execute(seed, query),
             Err(e) => Err(e),
@@ -1308,11 +1258,6 @@ impl QueryService {
         self.camera(camera).map(|c| c.ledger.remaining_at(at_secs))
     }
 
-    /// The registered policy of a camera.
-    pub fn camera_policy(&self, camera: &str) -> Option<PrivacyPolicy> {
-        self.camera(camera).map(|c| c.policy)
-    }
-
     /// Counters of the cross-query chunk-result cache, summed over shards.
     pub fn cache_stats(&self) -> ChunkCacheStats {
         let mut total = ChunkCacheStats::default();
@@ -1344,11 +1289,6 @@ impl QueryService {
     /// re-registration walks only the owning shard's entries.
     pub fn shard_cache_stats(&self, shard: usize) -> Option<ChunkCacheStats> {
         self.shards.get(shard).map(|s| s.cache.stats())
-    }
-
-    /// Counters of one shard's aggregate-state cache (`None` out of range).
-    pub fn shard_agg_cache_stats(&self, shard: usize) -> Option<AggCacheStats> {
-        self.shards.get(shard).map(|s| s.agg_cache.stats())
     }
 
     /// The number of shards the serving plane is partitioned into.
@@ -1383,8 +1323,7 @@ impl QueryService {
     /// seed can regenerate every Laplace sample offline and subtract the
     /// noise, voiding the DP guarantee.
     pub fn execute(&self, seed: u64, query: &ParsedQuery) -> Result<QueryResult, PrividError> {
-        let mut mechanism = LaplaceMechanism::new(seed);
-        self.execute_session(query, &mut mechanism, self.parallelism, self.default_epsilon)
+        session::execute_query(self, query, &mut LaplaceMechanism::new(seed))
     }
 
     // ---- tenant quotas ------------------------------------------------------------------
@@ -1436,10 +1375,10 @@ impl QueryService {
     }
 
     /// Total ε a parsed query will consume on success — each SELECT's
-    /// `CONSUMING` clause, or the service default. The same formula the
-    /// per-camera admission gate charges, which is what makes reserving it
+    /// `CONSUMING` clause, or the service default. `session` admits exactly
+    /// this value at the per-camera gate, which is what makes reserving it
     /// against a tenant quota *before* execution sound.
-    fn query_epsilon_demand(&self, query: &ParsedQuery) -> f64 {
+    pub(crate) fn query_epsilon_demand(&self, query: &ParsedQuery) -> f64 {
         query.selects.iter().map(|s| s.epsilon.unwrap_or(self.default_epsilon)).sum()
     }
 
@@ -1470,19 +1409,6 @@ impl QueryService {
         if let Some(available) = quotas.get_mut(tenant) {
             *available += amount;
         }
-    }
-
-    /// Execute a query drawing noise from a caller-owned mechanism.
-    /// `PrividSystem` uses this to preserve its historical semantics of one
-    /// continuous noise stream across a system's whole query sequence.
-    pub(crate) fn execute_session(
-        &self,
-        query: &ParsedQuery,
-        mechanism: &mut LaplaceMechanism,
-        parallelism: Parallelism,
-        default_epsilon: f64,
-    ) -> Result<QueryResult, PrividError> {
-        session::execute_query(self, query, mechanism, parallelism, default_epsilon)
     }
 
     // ---- internals shared with `session` -------------------------------------------------
@@ -1656,9 +1582,11 @@ impl AdmissionJournal for WalAdmissionJournal<'_> {
     }
 }
 
-/// Builder for [`QueryService`]: the same knobs as the `with_*` methods plus
-/// the durability configuration (which can fail — recovery reads disk — and
-/// therefore needs a fallible `build`).
+/// Builder for [`QueryService`] — the single configuration path. Knobs are
+/// only recorded here and resolved together in [`QueryServiceBuilder::build`]
+/// (so their order is irrelevant: `cache_capacity(0).shards(4)` and
+/// `shards(4).cache_capacity(0)` build the same service). `build` is
+/// fallible because the durability configuration recovers from disk.
 #[derive(Debug, Default)]
 pub struct QueryServiceBuilder {
     parallelism: Option<Parallelism>,
@@ -1686,7 +1614,10 @@ impl QueryServiceBuilder {
         self
     }
 
-    /// Chunk-cache capacity (0 disables the cache).
+    /// Chunk-cache capacity, split across shards (ceiling division). The
+    /// aggregate-state tier scales with it — its entries are a few folded
+    /// states, far smaller than a chunk's rows — so `0` disables both tiers
+    /// (and with them incremental standing-query execution).
     pub fn cache_capacity(mut self, max_entries: usize) -> Self {
         self.cache_capacity = Some(max_entries);
         self
@@ -1877,7 +1808,7 @@ mod tests {
 
     fn service() -> QueryService {
         let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
-        let service = QueryService::new().with_parallelism(Parallelism::Fixed(2));
+        let service = QueryService::builder().parallelism(Parallelism::Fixed(2)).build().expect("in-memory service builds");
         service.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
         service.register_processor("person_counter", || {
             Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
@@ -1976,7 +1907,11 @@ mod tests {
     fn cache_disabled_service_executes_identically() {
         let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
         let cached = service();
-        let uncached = QueryService::new().with_parallelism(Parallelism::Fixed(2)).with_cache_capacity(0);
+        let uncached = QueryService::builder()
+            .parallelism(Parallelism::Fixed(2))
+            .cache_capacity(0)
+            .build()
+            .expect("in-memory service builds");
         uncached.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
         uncached.register_processor("person_counter", || {
             Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
@@ -1987,6 +1922,38 @@ mod tests {
         uncached.execute_text(6, QUERY).unwrap();
         let stats = uncached.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0), "disabled cache is never consulted");
+    }
+
+    #[test]
+    fn builder_knobs_resolve_at_build_in_any_order() {
+        // Regression: configuration used to be applied eagerly, knob by knob,
+        // and setting the shard count rebuilt every shard with the default
+        // cache capacity — so "capacity 0, then 4 shards" silently re-enabled
+        // both cache tiers, and a "cache-disabled reference" service was a
+        // cached one depending on call order.
+        const SHARDS: usize = 4;
+        let capacity_first = QueryService::builder().cache_capacity(0).shards(SHARDS);
+        let shards_first = QueryService::builder().shards(SHARDS).cache_capacity(0);
+        for builder in [capacity_first, shards_first] {
+            let svc = builder.parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
+            assert_eq!(svc.shard_count(), SHARDS);
+            let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
+            svc.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
+            svc.register_processor("person_counter", || {
+                Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
+            }).expect("camera/processor registration must succeed");
+            for seed in 0..3 {
+                svc.execute_text(seed, QUERY).unwrap();
+            }
+            for k in 0..SHARDS {
+                let tier1 = svc.shard_cache_stats(k).expect("shard in range");
+                assert_eq!((tier1.entries, tier1.hits), (0, 0), "shard {k}: tier 1 must stay disabled");
+            }
+            let tier2 = svc.agg_cache_stats();
+            assert_eq!((tier2.entries, tier2.hits), (0, 0), "tier 2 must stay disabled on every shard");
+        }
+        let clamped = QueryService::builder().standing_retention(0).build().expect("in-memory service builds");
+        assert_eq!(clamped.standing_retention, 1, "a retention of 0 would drop every firing before it could be polled");
     }
 
     fn walker(id: u64, start: f64, end: f64) -> privid_video::TrackedObject {
@@ -2010,8 +1977,12 @@ mod tests {
         SELECT COUNT(*) FROM people CONSUMING 0.5;";
 
     fn live_service() -> QueryService {
+        live_service_from(QueryService::builder())
+    }
+
+    fn live_service_from(builder: QueryServiceBuilder) -> QueryService {
         use privid_video::{FrameRate, FrameSize};
-        let svc = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+        let svc = builder.parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
         svc.register_live_camera("live", FrameRate::new(2.0), FrameSize::new(100, 100), PrivacyPolicy::new(20.0, 2, 10.0)).expect("camera/processor registration must succeed");
         svc.register_processor("person_counter", || {
             Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
@@ -2030,7 +2001,7 @@ mod tests {
         assert_eq!(svc.live_edge("live"), Some(120.0));
         let live = svc.execute_text(7, LIVE_QUERY).unwrap();
 
-        let batch = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+        let batch = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
         batch.register_camera(
             "live",
             Scene::new(CameraId::new("live"), TimeSpan::from_secs(120.0), FrameRate::new(2.0), FrameSize::new(100, 100), objects),
@@ -2119,7 +2090,7 @@ mod tests {
     #[test]
     fn standing_poll_cursor_returns_only_new_firings_and_retention_bounds_memory() {
         use privid_video::FrameBatch;
-        let svc = live_service().with_standing_retention(2);
+        let svc = live_service_from(QueryService::builder().standing_retention(2));
         let standing = "
             SPLIT live BEGIN 0 END 60 BY TIME 10 sec STRIDE 0 sec INTO chunks;
             PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS

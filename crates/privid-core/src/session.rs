@@ -23,9 +23,9 @@ use crate::aggcache::AggCacheKey;
 use crate::budget::{AdmissionFailure, BudgetError};
 use crate::cache::ChunkCacheKey;
 use crate::error::PrividError;
-use crate::executor::{NoisyRelease, NoisyValue, QueryResult};
 use crate::mechanism::LaplaceMechanism;
-use crate::parallel::{execute_plan, execute_plan_range, Parallelism};
+use crate::parallel::{execute_plan, execute_plan_range};
+use crate::release::{NoisyRelease, NoisyValue, QueryResult};
 use crate::service::{CameraState, QueryService};
 use privid_query::exec::RawRelease;
 use privid_query::{
@@ -135,15 +135,14 @@ impl TableMeta {
 
 /// Execute one query against the service's registries, drawing noise from
 /// `mechanism`. This is the split → process → admit → aggregate → noise
-/// pipeline of Algorithm 1, shared by [`crate::PrividSystem`] (one caller-owned
-/// noise stream) and [`crate::QueryService::execute`] (one seed per query).
+/// pipeline of Algorithm 1 behind [`crate::QueryService::execute`], which
+/// seeds one fresh mechanism per query.
 pub(crate) fn execute_query(
     service: &QueryService,
     query: &ParsedQuery,
     mechanism: &mut LaplaceMechanism,
-    parallelism: Parallelism,
-    default_epsilon: f64,
 ) -> Result<QueryResult, PrividError> {
+    let default_epsilon = service.default_epsilon;
     // ---- 1. Resolve SPLIT statements -------------------------------------------------
     let splits = prepare_all_splits(service, query)?;
 
@@ -157,7 +156,7 @@ pub(crate) fn execute_query(
         let split = splits.get(&p.input).ok_or_else(|| {
             PrividError::Invalid(format!("PROCESS {} references undefined chunk set {}", p.output, p.input))
         })?;
-        let (table, n_chunks, profile, meta) = run_process(service, p, split, parallelism)?;
+        let (table, n_chunks, profile, meta) = run_process(service, p, split)?;
         chunks_processed += n_chunks;
         ctx.register(p.output.clone(), profile);
         table_windows.insert(p.output.clone(), (split.camera.clone(), split.window));
@@ -170,7 +169,7 @@ pub(crate) fn execute_query(
     // table, no aggregations, a sensitivity-rule violation — must fail before
     // budget admission: rejecting afterwards would permanently consume the
     // analyst's budget for a query that never releases anything.
-    let epsilon_total: f64 = query.selects.iter().map(|s| s.epsilon.unwrap_or(default_epsilon)).sum();
+    let epsilon_total = service.query_epsilon_demand(query);
     if query.selects.is_empty() {
         return Err(PrividError::Invalid("a query must contain at least one SELECT".into()));
     }
@@ -424,7 +423,6 @@ fn run_process(
     service: &QueryService,
     p: &ProcessStatement,
     split: &PreparedSplit,
-    parallelism: Parallelism,
 ) -> Result<(Arc<Table>, usize, privid_query::sensitivity::TableProfile, TableMeta), PrividError> {
     let (processor_generation, factory) =
         service.processor(&p.executable).ok_or_else(|| PrividError::UnknownProcessor(p.executable.clone()))?;
@@ -474,7 +472,8 @@ fn run_process(
             // deterministic (chunk, region) order, so the table below is
             // identical at every worker count — and on every cache hit.
             let plan = ChunkPlan::new(&split.state.scene, &split.window, &split.spec, split.mask.as_ref());
-            let outputs = execute_plan(&plan, split.region_scheme.as_ref(), &*factory, &sandbox_spec, parallelism);
+            let outputs =
+                execute_plan(&plan, split.region_scheme.as_ref(), &*factory, &sandbox_spec, service.parallelism);
             executions = outputs.len();
             // Rows move straight into the columnar table exactly once; the
             // cache shares the same allocation through the `Arc`.
@@ -696,12 +695,11 @@ pub(crate) fn execute_standing(
     service: &QueryService,
     query: &ParsedQuery,
     mechanism: &mut LaplaceMechanism,
-    parallelism: Parallelism,
-    default_epsilon: f64,
 ) -> Result<Option<QueryResult>, PrividError> {
     if !service.agg_cache_enabled() {
         return Ok(None);
     }
+    let default_epsilon = service.default_epsilon;
     // ---- 1. Resolve SPLIT statements (identical to the reference path) --------------
     let splits = prepare_all_splits(service, query)?;
 
@@ -735,7 +733,7 @@ pub(crate) fn execute_standing(
     }
 
     // ---- 3. Plan every SELECT, pre-admission (identical to the reference path) -------
-    let epsilon_total: f64 = query.selects.iter().map(|s| s.epsilon.unwrap_or(default_epsilon)).sum();
+    let epsilon_total = service.query_epsilon_demand(query);
     if query.selects.is_empty() {
         return Err(PrividError::Invalid("a query must contain at least one SELECT".into()));
     }
@@ -809,7 +807,7 @@ pub(crate) fn execute_standing(
                 sp.split.region_scheme.as_ref(),
                 &*sp.factory,
                 &sandbox_spec,
-                parallelism,
+                service.parallelism,
             );
             let mut tail = Table::new(sp.p.schema.clone());
             for (region, out) in outputs {
@@ -855,7 +853,7 @@ pub(crate) fn execute_standing(
 /// Idempotent under racing appends: the walk-back probe finds the prefix a
 /// previous pump already folded, and a duplicate insert at the same prefix is
 /// a first-wins no-op on bit-identical states.
-pub(crate) fn prefold_standing(service: &QueryService, query: &ParsedQuery, parallelism: Parallelism) {
+pub(crate) fn prefold_standing(service: &QueryService, query: &ParsedQuery) {
     if !service.agg_cache_enabled() {
         return;
     }
@@ -911,7 +909,7 @@ pub(crate) fn prefold_standing(service: &QueryService, query: &ParsedQuery, para
             split.region_scheme.as_ref(),
             &*factory,
             &sandbox_spec,
-            parallelism,
+            service.parallelism,
         );
         let mut tail = Table::new(p.schema.clone());
         for (region, out) in outputs {

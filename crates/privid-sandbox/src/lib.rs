@@ -37,4 +37,4 @@ pub use builtin::{
 };
 pub use fault::{CrashingProcessor, MalformedRowProcessor, RowFloodProcessor, SlowProcessor, StatefulCheater};
 pub use processor::{ChunkProcessor, ProcessorFactory};
-pub use sandbox::{run_chunk, run_chunk_owned, run_chunks, ChunkOutcome, SandboxSpec, SandboxedOutput};
+pub use sandbox::{run_chunk, ChunkOutcome, SandboxSpec, SandboxedOutput};

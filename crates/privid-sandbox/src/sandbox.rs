@@ -1,15 +1,15 @@
 //! The isolated execution harness (Appendix B).
 //!
 //! [`run_chunk`] executes one fresh processor instance on one chunk view and
-//! enforces the sandbox contract. The hot path hands it [`ChunkView`]s
-//! materialized straight from a `ChunkPlan`; [`run_chunk_owned`] and
-//! [`run_chunks`] are compatibility wrappers for code that holds owned
-//! [`Chunk`]s (each chunk's execution is independent by construction, so
-//! parallelism cannot change results).
+//! enforces the sandbox contract. Callers hand it [`ChunkView`]s
+//! materialized straight from a `ChunkPlan`; fanning chunks out over workers
+//! is the job of the one execution engine, `privid-core::parallel` (each
+//! chunk's execution is independent by construction, so parallelism cannot
+//! change results).
 
 use crate::processor::ProcessorFactory;
 use privid_query::{Schema, Value};
-use privid_video::{Chunk, ChunkBuffer, ChunkView, Seconds};
+use privid_video::{ChunkView, Seconds};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -91,55 +91,14 @@ pub fn run_chunk(factory: &dyn ProcessorFactory, chunk: &ChunkView<'_>, spec: &S
     }
 }
 
-/// Execute one owned [`Chunk`] by loading it into a scratch buffer first.
-/// Compatibility path for tests and eager pipelines.
-pub fn run_chunk_owned(factory: &dyn ProcessorFactory, chunk: &Chunk, spec: &SandboxSpec) -> SandboxedOutput {
-    let mut buf = ChunkBuffer::new();
-    let view = buf.load_chunk(chunk);
-    run_chunk(factory, &view, spec)
-}
-
-/// Execute every chunk of an eagerly materialized split. When `parallel` is
-/// true the chunks are processed on multiple threads; because each execution
-/// is isolated the outputs are identical either way (verified in tests), only
-/// wall-clock time differs. Query execution uses the streaming engine in
-/// `privid-core::parallel` instead; this helper remains for benchmarking the
-/// eager path and for tests that hold owned chunks.
-pub fn run_chunks(
-    factory: &(dyn ProcessorFactory + Sync),
-    chunks: &[Chunk],
-    spec: &SandboxSpec,
-    parallel: bool,
-) -> Vec<SandboxedOutput> {
-    if !parallel || chunks.len() < 2 {
-        let mut buf = ChunkBuffer::new();
-        return chunks.iter().map(|c| run_chunk(factory, &buf.load_chunk(c), spec)).collect();
-    }
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-    let chunk_per_worker = chunks.len().div_ceil(workers);
-    let outputs: Vec<Vec<SandboxedOutput>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .chunks(chunk_per_worker)
-            .map(|batch| {
-                scope.spawn(move || {
-                    let mut buf = ChunkBuffer::new();
-                    batch.iter().map(|c| run_chunk(factory, &buf.load_chunk(c), spec)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sandbox worker panicked")).collect()
-    });
-    outputs.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builtin::{CarTableProcessor, UniqueEntrantProcessor};
+    use crate::builtin::UniqueEntrantProcessor;
     use crate::fault::{CrashingProcessor, MalformedRowProcessor, RowFloodProcessor, SlowProcessor, StatefulCheater};
     use crate::processor::ChunkProcessor;
     use privid_query::ColumnDef;
-    use privid_video::{split_scene, ChunkSpec, SceneConfig, SceneGenerator, TimeSpan};
+    use privid_video::{ChunkBuffer, ChunkPlan, ChunkSpec, Scene, SceneConfig, SceneGenerator, TimeSpan};
 
     fn count_schema() -> Schema {
         Schema::new(vec![ColumnDef::number("count", 0.0)]).unwrap()
@@ -149,16 +108,28 @@ mod tests {
         SandboxSpec::new(1.0, max_rows, count_schema())
     }
 
-    fn campus_chunks() -> Vec<Chunk> {
-        let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.25)).generate();
-        split_scene(&scene, &TimeSpan::from_secs(300.0), &ChunkSpec::contiguous(10.0), None)
+    fn campus_scene() -> Scene {
+        SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.25)).generate()
+    }
+
+    /// The first 300 s of the campus scene in 10 s chunks, as the lazy plan
+    /// the execution engine materializes views from.
+    fn campus_plan(scene: &Scene) -> ChunkPlan<'_> {
+        ChunkPlan::new(scene, &TimeSpan::from_secs(300.0), &ChunkSpec::contiguous(10.0), None)
+    }
+
+    /// Run chunk `index` of the campus plan through the sandbox.
+    fn run_campus_chunk(factory: &dyn ProcessorFactory, index: usize, spec: &SandboxSpec) -> SandboxedOutput {
+        let scene = campus_scene();
+        let plan = campus_plan(&scene);
+        let mut buf = ChunkBuffer::new();
+        run_chunk(factory, &plan.materialize_into(index, &mut buf), spec)
     }
 
     #[test]
     fn completed_execution_caps_rows_and_coerces() {
-        let chunks = campus_chunks();
         let factory = || Box::new(RowFloodProcessor { rows: 500 }) as Box<dyn ChunkProcessor>;
-        let out = run_chunk_owned(&factory, &chunks[0], &spec(10));
+        let out = run_campus_chunk(&factory, 0, &spec(10));
         assert_eq!(out.outcome, ChunkOutcome::Completed);
         assert_eq!(out.rows.len(), 10, "row flood truncated to max_rows");
         for r in &out.rows {
@@ -168,34 +139,31 @@ mod tests {
 
     #[test]
     fn crash_yields_default_row() {
-        let chunks = campus_chunks();
         let factory = || Box::new(CrashingProcessor) as Box<dyn ChunkProcessor>;
-        let out = run_chunk_owned(&factory, &chunks[0], &spec(10));
+        let out = run_campus_chunk(&factory, 0, &spec(10));
         assert_eq!(out.outcome, ChunkOutcome::Crashed);
         assert_eq!(out.rows, vec![vec![Value::num(0.0)]], "default row for the declared schema");
     }
 
     #[test]
     fn timeout_yields_default_row_and_fixed_charge() {
-        let chunks = campus_chunks();
         let factory =
             || Box::new(SlowProcessor { base_secs: 0.0, per_observation_secs: 10.0 }) as Box<dyn ChunkProcessor>;
-        let out = run_chunk_owned(&factory, &chunks[0], &spec(10));
+        let out = run_campus_chunk(&factory, 0, &spec(10));
         assert_eq!(out.outcome, ChunkOutcome::TimedOut);
         assert_eq!(out.rows, vec![vec![Value::num(0.0)]]);
         assert_eq!(out.charged_secs, 1.0, "charged time never depends on actual behaviour");
         // A fast processor is charged exactly the same.
         let fast = || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>;
-        let out_fast = run_chunk_owned(&fast, &chunks[0], &spec(10));
+        let out_fast = run_campus_chunk(&fast, 0, &spec(10));
         assert_eq!(out_fast.charged_secs, 1.0);
     }
 
     #[test]
     fn malformed_rows_are_normalized() {
-        let chunks = campus_chunks();
         let schema = Schema::new(vec![ColumnDef::number("a", -1.0), ColumnDef::string("b", "dflt")]).unwrap();
         let factory = || Box::new(MalformedRowProcessor) as Box<dyn ChunkProcessor>;
-        let out = run_chunk_owned(&factory, &chunks[0], &SandboxSpec::new(1.0, 10, schema));
+        let out = run_campus_chunk(&factory, 0, &SandboxSpec::new(1.0, 10, schema));
         assert_eq!(out.rows.len(), 3);
         assert_eq!(out.rows[0], vec![Value::num(1.0), Value::str("dflt")], "wrong-typed second cell defaulted");
         assert_eq!(out.rows[1], vec![Value::num(-1.0), Value::str("dflt")]);
@@ -207,16 +175,18 @@ mod tests {
         // Appendix B requirement 1: processing chunk i in isolation or after
         // many other chunks must not change its accepted output — even for a
         // processor that shares state across instances.
-        let chunks = campus_chunks();
+        let scene = campus_scene();
+        let plan = campus_plan(&scene);
         let cheater = StatefulCheater::new();
-        let cheater_for_batch = cheater.clone();
-        let batch_factory = move || Box::new(cheater_for_batch.clone()) as Box<dyn ChunkProcessor>;
-        let batch_outputs = run_chunks(&batch_factory, &chunks, &spec(10), false);
+        let batch_factory = move || Box::new(cheater.clone()) as Box<dyn ChunkProcessor>;
+        let mut buf = ChunkBuffer::new();
+        let batch_outputs: Vec<SandboxedOutput> =
+            (0..plan.len()).map(|i| run_chunk(&batch_factory, &plan.materialize_into(i, &mut buf), &spec(10))).collect();
 
         // Fresh state, single chunk processed alone.
         let lone = StatefulCheater::new();
         let lone_factory = move || Box::new(lone.clone()) as Box<dyn ChunkProcessor>;
-        let lone_output = run_chunk_owned(&lone_factory, &chunks[5], &spec(10));
+        let lone_output = run_campus_chunk(&lone_factory, 5, &spec(10));
 
         assert_ne!(
             batch_outputs[5].rows, lone_output.rows,
@@ -230,30 +200,14 @@ mod tests {
         // its batch output must be rejected in favour of the isolated one.
         let fresh = StatefulCheater::new();
         let fresh_factory = move || Box::new(fresh.clone()) as Box<dyn ChunkProcessor>;
-        let verified = run_chunk_owned(&fresh_factory, &chunks[5], &spec(10));
+        let verified = run_campus_chunk(&fresh_factory, 5, &spec(10));
         assert_eq!(verified.rows, lone_output.rows);
     }
 
     #[test]
-    fn parallel_and_serial_outputs_match_for_isolated_processors() {
-        let chunks = campus_chunks();
-        let factory = || Box::new(CarTableProcessor) as Box<dyn ChunkProcessor>;
-        let schema = Schema::listing1();
-        let spec = SandboxSpec::new(1.0, 10, schema);
-        let serial = run_chunks(&factory, &chunks, &spec, false);
-        let parallel = run_chunks(&factory, &chunks, &spec, true);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(parallel.iter()) {
-            assert_eq!(s.chunk_index, p.chunk_index);
-            assert_eq!(s.rows, p.rows, "view iteration order is deterministic, so rows match exactly");
-        }
-    }
-
-    #[test]
     fn chunk_start_column_is_trusted_timestamp() {
-        let chunks = campus_chunks();
         let factory = || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>;
-        let out = run_chunk_owned(&factory, &chunks[3], &spec(10));
+        let out = run_campus_chunk(&factory, 3, &spec(10));
         assert_eq!(out.chunk_start_secs, 30.0, "chunk 3 of a 10 s split starts at t = 30 s");
         assert_eq!(out.chunk_index, 3);
     }

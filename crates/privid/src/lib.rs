@@ -9,8 +9,8 @@
 //! * [`query`] — the query language, relational algebra and sensitivity rules.
 //! * [`sandbox`] — isolated execution of analyst chunk processors.
 //! * [`core`] — the Privid system: policies, the Laplace mechanism, the
-//!   per-frame budget ledger, the single-analyst executor, the concurrent
-//!   multi-analyst [`QueryService`] and the §7 optimizations.
+//!   per-frame budget ledger, the concurrent multi-analyst [`QueryService`]
+//!   (the one in-process entry point) and the §7 optimizations.
 //! * [`store`] — the durable privacy ledger: write-ahead log, snapshots and
 //!   crash recovery behind the [`Durability`] knob.
 //! * [`wire`] — the sans-IO zero-copy binary wire protocol (versioned frames,
@@ -37,7 +37,7 @@ pub use privid_core::{
     admit_fleet, greedy_mask_order, AdmissionController, AdmissionFailure, AdmissionJournal, AdmissionRequest,
     AggCacheStats, AppendOutcome, BudgetError, BudgetLedger, CameraHealth, ChunkCacheStats, CommitWait,
     DegradationCurve, LaplaceMechanism, MaskPolicy, MaskingAnalysis, NoisyRelease, NoisyValue, Parallelism,
-    PrivacyPolicy, PrividError, PrividSystem, QueryResult, QueryService, QueryServiceBuilder, ShardAdmission,
+    PrivacyPolicy, PrividError, QueryResult, QueryService, QueryServiceBuilder, ShardAdmission,
     StandingFiring, StandingPoll, StoreRetryPolicy,
 };
 pub use privid_store::{

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --example live_ingestion`
 
 use privid::{
-    ChunkProcessor, FrameBatch, FrameRate, FrameSize, Parallelism, PrivacyPolicy, PrividError, QueryService,
-    SceneConfig, SceneGenerator, UniqueEntrantProcessor,
+    ChunkProcessor, FrameBatch, FrameRate, FrameSize, PrivacyPolicy, PrividError, QueryService, SceneConfig,
+    SceneGenerator, UniqueEntrantProcessor,
 };
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
     // Register a *live* camera: no footage yet, just the camera's parameters
     // and the privacy policy. The budget ledger starts empty and grows with
     // the timeline — every appended slot is born with the policy's full ε.
-    let service = QueryService::new().with_parallelism(Parallelism::Auto);
+    let service = QueryService::new();
     service.register_live_camera("lobby", FrameRate::new(10.0), FrameSize::new(1280, 720), PrivacyPolicy::new(60.0, 2, 10.0)).expect("camera/processor registration must succeed");
     service.register_processor("person_counter", || {
         Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>

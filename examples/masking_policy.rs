@@ -6,7 +6,7 @@
 
 use privid::core::masking::MaskingAnalysis;
 use privid::{
-    greedy_mask_order, ChunkProcessor, GridSpec, MaskPolicy, PrivacyPolicy, PrividSystem, SceneConfig,
+    greedy_mask_order, ChunkProcessor, GridSpec, MaskPolicy, PrivacyPolicy, QueryService, SceneConfig,
     SceneGenerator, UniqueEntrantProcessor,
 };
 
@@ -47,7 +47,7 @@ fn main() {
     // --- Step 3: register the camera with both policies and compare noise ---------------
     let unmasked_rho = analysis.max_before_secs * 1.1;
     let masked_rho = analysis.max_after_secs * 1.1;
-    let mut privid = PrividSystem::new(5);
+    let privid = QueryService::new();
     privid.register_camera("campus", scene, PrivacyPolicy::new(unmasked_rho, 2, 10.0)).expect("camera/processor registration must succeed");
     privid.register_mask("campus", "linger_mask", MaskPolicy::new(mask, masked_rho)).unwrap();
     privid.register_processor("person_counter", || {
@@ -59,8 +59,8 @@ fn main() {
         PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
             WITH SCHEMA (count:NUMBER=0) INTO people;
         SELECT COUNT(*) FROM people CONSUMING 1.0;";
-    let without = privid.execute_text(&base.replace("{MASK}", "")).unwrap();
-    let with = privid.execute_text(&base.replace("{MASK}", "WITH MASK linger_mask")).unwrap();
+    let without = privid.execute_text(5, &base.replace("{MASK}", "")).unwrap();
+    let with = privid.execute_text(6, &base.replace("{MASK}", "WITH MASK linger_mask")).unwrap();
 
     println!("query noise without mask: scale = {:.1} (rho = {:.0} s)", without.releases[0].noise_scale, unmasked_rho);
     println!("query noise with mask   : scale = {:.1} (rho = {:.0} s)", with.releases[0].noise_scale, masked_rho);

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example multi_camera_taxis`
 
-use privid::{ChunkProcessor, PortoConfig, PortoDataset, PrivacyPolicy, PrividSystem, TaxiShiftProcessor};
+use privid::{ChunkProcessor, PortoConfig, PortoDataset, PrivacyPolicy, QueryService, TaxiShiftProcessor};
 
 fn main() {
     // A scaled-down fleet: 60 taxis, 8 cameras, 7 days (the full 442/105/365
@@ -12,7 +12,7 @@ fn main() {
     let config = PortoConfig { num_taxis: 60, num_cameras: 8, days: 7, ..PortoConfig::default() };
     let dataset = PortoDataset::generate(config);
 
-    let mut privid = PrividSystem::new(11);
+    let privid = QueryService::new();
     for cam in 0..8u32 {
         let scene = dataset.camera_scene(cam);
         // Policy ρ per camera: the longest single visit (plus margin), as the
@@ -32,7 +32,7 @@ fn main() {
             WITH SCHEMA (taxi:STRING="", day:NUMBER=0, hour:NUMBER=0, camera:STRING="") INTO t1;
         SELECT COUNT(*) FROM (SELECT taxi, day FROM t0 JOIN t1 ON taxi, day GROUP BY taxi, day) CONSUMING 1.0;
     "#;
-    let join_result = privid.execute_text(join_query).expect("join query");
+    let join_result = privid.execute_text(11, join_query).expect("join query");
     let noisy = join_result.releases[0].value.as_number().unwrap();
     let raw = join_result.releases[0].raw.as_number().unwrap();
     let gt = dataset.mean_daily_intersection(0, 1) * 7.0;
@@ -51,7 +51,7 @@ fn main() {
     let argmax_query = format!(
         "{splits}SELECT ARGMAX(camera) FROM tt0 UNION tt1 ON camera UNION tt2 ON camera UNION tt3 ON camera CONSUMING 1.0;"
     );
-    let argmax_result = privid.execute_text(&argmax_query).expect("argmax query");
+    let argmax_result = privid.execute_text(12, &argmax_query).expect("argmax query");
     println!("Q6 (ARGMAX): busiest of cameras 0-3 = {:?}", argmax_result.releases[0].value);
     println!("  (ground-truth busiest camera overall: porto{})", dataset.busiest_camera());
     println!("total epsilon spent across both queries: {}", join_result.epsilon_spent + argmax_result.epsilon_spent);

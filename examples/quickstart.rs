@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use privid::{
-    ChunkProcessor, Parallelism, PrivacyPolicy, PrividSystem, SceneConfig, SceneGenerator, UniqueEntrantProcessor,
+    ChunkProcessor, Parallelism, PrivacyPolicy, QueryService, SceneConfig, SceneGenerator, UniqueEntrantProcessor,
 };
 
 fn main() {
@@ -14,10 +14,11 @@ fn main() {
     // protect every appearance shorter than 90 s, up to K = 2 appearances,
     // with a per-frame budget of 10.
     //
-    // Chunk execution fans out over a worker pool (`Parallelism::Auto` uses
-    // one worker per core); results are identical at any worker count.
+    // Chunk execution fans out over a worker pool (`Parallelism::Auto`, the
+    // default, uses one worker per core); results are identical at any
+    // worker count. `QueryService::new()` is the all-defaults shorthand.
     let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(1.0)).generate();
-    let mut privid = PrividSystem::new(42).with_parallelism(Parallelism::Auto);
+    let privid = QueryService::builder().parallelism(Parallelism::Auto).build().expect("in-memory service builds");
     privid.register_camera("campus", scene, PrivacyPolicy::new(90.0, 2, 10.0)).expect("camera/processor registration must succeed");
 
     // --- Analyst side ------------------------------------------------------------------
@@ -34,7 +35,9 @@ fn main() {
             WITH SCHEMA (count:NUMBER=0) INTO people;
         SELECT COUNT(*) FROM people CONSUMING 1.0;";
 
-    let result = privid.execute_text(query).expect("query should be admitted");
+    // The noise seed is the video owner's: it makes the release replayable
+    // here, and would come from owner-side entropy in a deployment.
+    let result = privid.execute_text(42, query).expect("query should be admitted");
 
     // --- What the analyst sees ----------------------------------------------------------
     let release = &result.releases[0];

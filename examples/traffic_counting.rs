@@ -4,14 +4,14 @@
 //!
 //! Run with: `cargo run --example traffic_counting`
 
-use privid::{CarTableProcessor, ChunkProcessor, PrivacyPolicy, PrividSystem, SceneConfig, SceneGenerator};
+use privid::{CarTableProcessor, ChunkProcessor, PrivacyPolicy, QueryService, SceneConfig, SceneGenerator};
 
 fn main() {
     // One hour of the synthetic highway scene, at a tenth of the nominal
     // traffic so the example runs in a couple of seconds.
     let scene =
         SceneGenerator::new(SceneConfig::highway().with_duration_hours(1.0).with_arrival_scale(0.1)).generate();
-    let mut privid = PrividSystem::new(7);
+    let privid = QueryService::new();
     // The highway policy: appearances up to 5 minutes (parked cars are handled
     // by masks in the full evaluation), K = 2.
     privid.register_camera("camA", scene, PrivacyPolicy::new(300.0, 2, 10.0)).expect("camera/processor registration must succeed");
@@ -34,7 +34,7 @@ fn main() {
             GROUP BY color WITH KEYS ["RED", "WHITE", "SILVER"] CONSUMING 0.5;
     "#;
 
-    let result = privid.execute_text(query).expect("Listing 1 should execute");
+    let result = privid.execute_text(7, query).expect("Listing 1 should execute");
 
     println!("Listing 1 on the synthetic highway camera ({} chunk executions)", result.chunks_processed);
     println!("{:<28} {:>12} {:>12} {:>10} {:>8}", "release", "noisy", "raw", "delta", "epsilon");

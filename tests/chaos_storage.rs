@@ -217,7 +217,7 @@ fn run_seed(seed: u64) -> u64 {
         .execute_text(424242, &probe)
         .unwrap_or_else(|e| panic!("seed {seed}: post-recovery probe failed: {e:?}"));
 
-    let reference = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+    let reference = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
     register(&reference);
     for i in 0..TOTAL_BATCHES {
         reference.append_frames("cam", batch(i)).expect("fault-free append");
@@ -242,7 +242,7 @@ fn a_single_shards_faults_leave_the_other_shards_healthy() {
 
     // Camera names route by id hash; probe candidates until every shard has
     // one (the routing is pure, so a throwaway in-memory service answers).
-    let routing = QueryService::new().with_shards(SHARDS);
+    let routing = QueryService::builder().shards(SHARDS).build().expect("in-memory service builds");
     let mut names: Vec<Option<String>> = vec![None; SHARDS];
     for i in 0..64 {
         let name = format!("cam{i}");

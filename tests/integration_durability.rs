@@ -66,7 +66,7 @@ fn standing_text() -> String {
 /// in-memory service with the same seeds — including the ad-hoc analyst
 /// query issued right after batch `CRASH_AFTER`.
 fn uninterrupted_run(scene: &Scene, batches: &[FrameBatch]) -> (Vec<StandingFiring>, Vec<f64>, f64) {
-    let svc = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+    let svc = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
     register(&svc, scene);
     svc.register_standing_query("per_window", STANDING_SEED, &standing_text()).unwrap();
     let mut analyst_raw = f64::NAN;
@@ -235,7 +235,7 @@ fn durable_serving_is_bit_for_bit_identical_to_in_memory_serving() {
         .durability(Durability::wal(&dir, FsyncPolicy::Never))
         .build()
         .unwrap();
-    let plain = QueryService::new().with_parallelism(Parallelism::Fixed(2));
+    let plain = QueryService::builder().parallelism(Parallelism::Fixed(2)).build().expect("in-memory service builds");
     for svc in [&durable, &plain] {
         register(svc, &generated);
         svc.append_frames("campus", FrameBatch::new(900.0, generated.objects.clone())).unwrap();

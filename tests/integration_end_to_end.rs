@@ -2,13 +2,13 @@
 //! pipelines over the synthetic scenes, spanning every workspace crate.
 
 use privid::{
-    CarTableProcessor, ChunkProcessor, PrivacyPolicy, PrividSystem, SceneConfig, SceneGenerator, TreeBloomProcessor,
+    CarTableProcessor, ChunkProcessor, PrivacyPolicy, QueryService, SceneConfig, SceneGenerator, TreeBloomProcessor,
     UniqueEntrantProcessor,
 };
 
-fn campus_system(hours: f64, seed: u64) -> PrividSystem {
+fn campus_service(hours: f64) -> QueryService {
     let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(hours)).generate();
-    let mut sys = PrividSystem::new(seed);
+    let sys = QueryService::new();
     sys.register_camera("campus", scene, PrivacyPolicy::new(90.0, 2, 50.0)).expect("camera/processor registration must succeed");
     sys.register_processor("person_counter", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
     sys.register_processor("tree_bloom", || Box::new(TreeBloomProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
@@ -21,9 +21,10 @@ fn counting_query_accuracy_is_within_reason() {
     // A Q1-style query over 30 minutes: the noisy result should be within a
     // few noise scales of the raw chunked count, and the raw count within
     // ~20% of ground truth entrances.
-    let mut sys = campus_system(0.5, 1);
+    let sys = campus_service(0.5);
     let result = sys
         .execute_text(
+            1,
             "SPLIT campus BEGIN 0 END 30 min BY TIME 5 sec STRIDE 0 sec INTO chunks;
              PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
                  WITH SCHEMA (count:NUMBER=0) INTO people;
@@ -43,9 +44,10 @@ fn hourly_time_series_matches_fig5_shape() {
     // Fig. 5: hourly unique-person counts over several hours. The raw chunked
     // counts should follow the diurnal arrival pattern (later morning hours
     // are busier than the first hour), and every hour produces one release.
-    let mut sys = campus_system(4.0, 2);
+    let sys = campus_service(4.0);
     let result = sys
         .execute_text(
+            2,
             "SPLIT campus BEGIN 0 END 4 hr BY TIME 5 sec STRIDE 0 sec INTO chunks;
              PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
                  WITH SCHEMA (count:NUMBER=0) INTO people;
@@ -71,11 +73,12 @@ fn non_private_object_query_reaches_high_accuracy() {
     // window and minimal chunk size, is recovered almost exactly because the
     // per-release noise is small relative to the percentage scale.
     let scene = SceneGenerator::new(SceneConfig::urban().with_duration_hours(0.5).with_arrival_scale(0.05)).generate();
-    let mut sys = PrividSystem::new(3);
+    let sys = QueryService::new();
     sys.register_camera("urban", scene, PrivacyPolicy::new(60.0, 2, 10.0)).expect("camera/processor registration must succeed");
     sys.register_processor("tree_bloom", || Box::new(TreeBloomProcessor) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
     let result = sys
         .execute_text(
+            3,
             "SPLIT urban BEGIN 0 END 30 min BY TIME 1 sec STRIDE 0 sec INTO chunks;
              PROCESS chunks USING tree_bloom TIMEOUT 1 sec PRODUCING 10 ROWS
                  WITH SCHEMA (bloomed:NUMBER=0) INTO trees;
@@ -99,7 +102,7 @@ fn non_private_object_query_reaches_high_accuracy() {
 
 #[test]
 fn listing1_query_budget_accounting_is_additive() {
-    let mut sys = campus_system(0.5, 4);
+    let sys = campus_service(0.5);
     let query = r#"
         SPLIT campus BEGIN 0 END 20 min BY TIME 5 sec STRIDE 0 sec INTO chunks;
         PROCESS chunks USING car_table TIMEOUT 1 sec PRODUCING 10 ROWS
@@ -108,7 +111,7 @@ fn listing1_query_budget_accounting_is_additive() {
         SELECT color, COUNT(plate) FROM (SELECT plate, color FROM cars GROUP BY plate)
             GROUP BY color WITH KEYS ["RED", "WHITE", "SILVER"] CONSUMING 0.75;"#;
     let before = sys.remaining_budget("campus", 300.0).unwrap();
-    let result = sys.execute_text(query).unwrap();
+    let result = sys.execute_text(4, query).unwrap();
     let after = sys.remaining_budget("campus", 300.0).unwrap();
     assert_eq!(result.releases.len(), 4, "one AVG release plus three per-colour counts");
     assert!((result.epsilon_spent - 1.0).abs() < 1e-9);
@@ -117,12 +120,12 @@ fn listing1_query_budget_accounting_is_additive() {
 
 #[test]
 fn parallel_sandbox_settings_do_not_change_results() {
-    // Two identical systems (same seeds) must produce identical noisy outputs
+    // Two identical services (same seeds) must produce identical noisy outputs
     // regardless of internal execution details.
-    let mut a = campus_system(0.25, 9);
-    let mut b = campus_system(0.25, 9);
+    let a = campus_service(0.25);
+    let b = campus_service(0.25);
     let q = "SPLIT campus BEGIN 0 END 10 min BY TIME 10 sec STRIDE 0 sec INTO c;
              PROCESS c USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
              SELECT COUNT(*) FROM t CONSUMING 0.5;";
-    assert_eq!(a.execute_text(q).unwrap().releases, b.execute_text(q).unwrap().releases);
+    assert_eq!(a.execute_text(9, q).unwrap().releases, b.execute_text(9, q).unwrap().releases);
 }

@@ -47,7 +47,7 @@ fn batch(i: usize) -> FrameBatch {
 
 /// One camera name per shard, discovered through the pure routing hash.
 fn cameras_per_shard(shards: usize) -> Vec<String> {
-    let routing = QueryService::new().with_shards(shards);
+    let routing = QueryService::builder().shards(shards).build().expect("in-memory service builds");
     let mut names: Vec<Option<String>> = vec![None; shards];
     for i in 0..64 {
         let name = format!("cam{i}");
@@ -101,8 +101,8 @@ fn two_camera_query(cam_a: &str, cam_b: &str, epsilon: f64) -> String {
 #[test]
 fn sharding_is_transparent_bit_for_bit_including_cross_shard_queries() {
     let names = cameras_per_shard(SHARDS);
-    let sharded = QueryService::new().with_shards(SHARDS).with_parallelism(Parallelism::Fixed(1));
-    let flat = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+    let sharded = QueryService::builder().shards(SHARDS).parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
+    let flat = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
     register_fleet(&sharded, &names, 2);
     register_fleet(&flat, &names, 2);
     assert_eq!(sharded.shard_count(), SHARDS);
@@ -137,7 +137,7 @@ fn sharding_is_transparent_bit_for_bit_including_cross_shard_queries() {
 #[test]
 fn reregistration_invalidates_only_the_owning_shards_cache() {
     let names = cameras_per_shard(SHARDS);
-    let svc = QueryService::new().with_shards(SHARDS).with_parallelism(Parallelism::Fixed(1)).with_cache_capacity(64);
+    let svc = QueryService::builder().shards(SHARDS).parallelism(Parallelism::Fixed(1)).cache_capacity(64).build().expect("in-memory service builds");
     register_fleet(&svc, &names, 1);
     let (cam_a, cam_b) = (&names[1], &names[2]);
     let (shard_a, shard_b) = (svc.shard_index(cam_a), svc.shard_index(cam_b));

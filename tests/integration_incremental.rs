@@ -33,8 +33,9 @@ fn register_processors(svc: &QueryService) {
 /// default) or disabled (capacity 0 turns off both cache tiers, leaving the
 /// plain sequential fold — the reference path).
 fn batch_service(scene: &Scene, cached: bool) -> QueryService {
-    let svc = QueryService::new().with_parallelism(Parallelism::Fixed(1));
-    let svc = if cached { svc } else { svc.with_cache_capacity(0) };
+    let builder = QueryService::builder().parallelism(Parallelism::Fixed(1));
+    let builder = if cached { builder } else { builder.cache_capacity(0) };
+    let svc = builder.build().expect("in-memory service builds");
     svc.register_camera("campus", scene.clone(), policy()).expect("camera registration must succeed");
     register_processors(&svc);
     svc
@@ -223,7 +224,7 @@ fn standing_windows_fed_piecemeal_match_an_uncached_batch_replay() {
     let batches = batches_of(&generated);
     let finale = final_scene(&generated, &batches);
 
-    let live = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+    let live = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
     live.register_live_camera("campus", generated.frame_rate, generated.frame_size, policy())
         .expect("camera registration must succeed");
     register_processors(&live);

@@ -52,14 +52,14 @@ fn live_service() -> (QueryService, Vec<FrameBatch>, Scene) {
     let generated = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
     let batches = batches_of(&generated, 6);
     let finale = final_scene(&generated, &batches);
-    let svc = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+    let svc = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
     svc.register_live_camera("campus", generated.frame_rate, generated.frame_size, policy()).expect("camera/processor registration must succeed");
     register_processor(&svc);
     (svc, batches, finale)
 }
 
 fn batch_service(finale: &Scene) -> QueryService {
-    let svc = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+    let svc = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
     svc.register_camera("campus", finale.clone(), policy()).expect("camera/processor registration must succeed");
     register_processor(&svc);
     svc

@@ -6,7 +6,7 @@ use privid::core::masking::MaskingAnalysis;
 use privid::cv::{DetectorConfig, TrackerConfig};
 use privid::{
     greedy_mask_order, ChunkProcessor, DurationEstimator, GridSpec, MaskPolicy, PolicyEstimator, PrivacyPolicy,
-    PrividSystem, SceneConfig, SceneGenerator, TimeSpan, UniqueEntrantProcessor,
+    QueryService, SceneConfig, SceneGenerator, TimeSpan, UniqueEntrantProcessor,
 };
 
 #[test]
@@ -19,11 +19,12 @@ fn cv_estimated_policy_feeds_the_system_and_protects_everyone() {
     let gt_max = scene.max_segment_duration(|o| o.class.is_private());
     assert!(estimated.rho_secs >= gt_max, "estimated ρ {} must cover ground truth {gt_max}", estimated.rho_secs);
 
-    let mut sys = PrividSystem::new(1);
+    let sys = QueryService::new();
     sys.register_camera("campus", scene, PrivacyPolicy::new(estimated.rho_secs, estimated.k, 10.0)).expect("camera/processor registration must succeed");
     sys.register_processor("proc", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
     let result = sys
         .execute_text(
+            1,
             "SPLIT campus BEGIN 0 END 15 min BY TIME 10 sec STRIDE 0 sec INTO c;
              PROCESS c USING proc TIMEOUT 1 sec PRODUCING 20 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
              SELECT COUNT(*) FROM t CONSUMING 1.0;",
@@ -54,15 +55,15 @@ fn masking_reduces_rho_and_noise_while_keeping_most_identities() {
 
     let unmasked_rho = (unmasked_est.max_duration_secs).max(1.0);
     let masked_rho = (masked_est.max_duration_secs).min(unmasked_rho);
-    let mut sys = PrividSystem::new(2);
+    let sys = QueryService::new();
     sys.register_camera("campus", scene, PrivacyPolicy::new(unmasked_rho, 2, 10.0)).expect("camera/processor registration must succeed");
     sys.register_mask("campus", "m", MaskPolicy::new(mask, masked_rho)).unwrap();
     sys.register_processor("proc", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
     let q = "SPLIT campus BEGIN 0 END 20 min BY TIME 5 sec STRIDE 0 sec {M} INTO c;
              PROCESS c USING proc TIMEOUT 1 sec PRODUCING 20 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
              SELECT COUNT(*) FROM t CONSUMING 1.0;";
-    let plain = sys.execute_text(&q.replace("{M}", "")).unwrap();
-    let masked = sys.execute_text(&q.replace("{M}", "WITH MASK m")).unwrap();
+    let plain = sys.execute_text(2, &q.replace("{M}", "")).unwrap();
+    let masked = sys.execute_text(3, &q.replace("{M}", "WITH MASK m")).unwrap();
     assert!(
         masked.releases[0].noise_scale <= plain.releases[0].noise_scale,
         "masking must never increase the noise for the same query"
@@ -83,12 +84,13 @@ fn spatial_splitting_reduces_per_region_output_range() {
     );
     assert!(report.reduction_factor > 1.0);
 
-    let mut sys = PrividSystem::new(3);
+    let sys = QueryService::new();
     sys.register_camera("highway", scene, PrivacyPolicy::new(120.0, 2, 10.0)).expect("camera/processor registration must succeed");
     sys.register_processor("proc", || Box::new(UniqueEntrantProcessor::cars()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
     // Hard boundary: a 5-second chunk is allowed with BY REGION.
     let result = sys
         .execute_text(
+            3,
             "SPLIT highway BEGIN 0 END 5 min BY TIME 5 sec STRIDE 0 sec BY REGION default INTO c;
              PROCESS c USING proc TIMEOUT 1 sec PRODUCING 40 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
              SELECT COUNT(*) FROM t CONSUMING 1.0;",

@@ -4,7 +4,7 @@
 //! before budget accounting and noise are applied.
 
 use privid::{
-    ChunkProcessor, Parallelism, PrivacyPolicy, PrividSystem, Scene, SceneConfig, SceneGenerator,
+    ChunkProcessor, Parallelism, PrivacyPolicy, QueryService, Scene, SceneConfig, SceneGenerator,
     UniqueEntrantProcessor,
 };
 
@@ -18,8 +18,8 @@ fn scene() -> Scene {
     SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate()
 }
 
-fn system(seed: u64, parallelism: Parallelism) -> PrividSystem {
-    let mut sys = PrividSystem::new(seed).with_parallelism(parallelism);
+fn service(parallelism: Parallelism) -> QueryService {
+    let sys = QueryService::builder().parallelism(parallelism).build().expect("in-memory service builds");
     sys.register_camera("campus", scene(), PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
     sys.register_processor("person_counter", || {
         Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
@@ -29,10 +29,10 @@ fn system(seed: u64, parallelism: Parallelism) -> PrividSystem {
 
 #[test]
 fn releases_identical_across_1_2_and_8_workers() {
-    let baseline = system(42, Parallelism::Fixed(1)).execute_text(QUERY).unwrap();
+    let baseline = service(Parallelism::Fixed(1)).execute_text(42, QUERY).unwrap();
     assert!(baseline.chunks_processed >= 240);
     for workers in [2, 8] {
-        let result = system(42, Parallelism::Fixed(workers)).execute_text(QUERY).unwrap();
+        let result = service(Parallelism::Fixed(workers)).execute_text(42, QUERY).unwrap();
         assert_eq!(
             baseline.releases, result.releases,
             "noisy releases must be bit-for-bit identical at {workers} workers"
@@ -44,9 +44,9 @@ fn releases_identical_across_1_2_and_8_workers() {
 
 #[test]
 fn serial_and_auto_match_fixed_worker_results() {
-    let serial = system(7, Parallelism::Serial).execute_text(QUERY).unwrap();
-    let auto = system(7, Parallelism::Auto).execute_text(QUERY).unwrap();
-    let fixed = system(7, Parallelism::Fixed(4)).execute_text(QUERY).unwrap();
+    let serial = service(Parallelism::Serial).execute_text(7, QUERY).unwrap();
+    let auto = service(Parallelism::Auto).execute_text(7, QUERY).unwrap();
+    let fixed = service(Parallelism::Fixed(4)).execute_text(7, QUERY).unwrap();
     assert_eq!(serial.releases, auto.releases);
     assert_eq!(serial.releases, fixed.releases);
     assert_eq!(serial.epsilon_spent, auto.epsilon_spent);
@@ -63,8 +63,8 @@ fn spatial_split_is_deterministic_across_worker_counts() {
         PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
             WITH SCHEMA (count:NUMBER=0) INTO people;
         SELECT COUNT(*) FROM people CONSUMING 1.0;";
-    let serial = system(11, Parallelism::Serial).execute_text(query).unwrap();
-    let parallel = system(11, Parallelism::Fixed(8)).execute_text(query).unwrap();
+    let serial = service(Parallelism::Serial).execute_text(11, query).unwrap();
+    let parallel = service(Parallelism::Fixed(8)).execute_text(11, query).unwrap();
     assert_eq!(serial.releases, parallel.releases);
     assert_eq!(serial.chunks_processed, parallel.chunks_processed);
     assert!(serial.chunks_processed >= 300, "one execution per chunk per region");
@@ -78,7 +78,7 @@ fn empty_window_processes_zero_chunks_at_any_parallelism() {
     let mut query = privid::parse_query(QUERY).unwrap();
     query.splits[0].end_secs = query.splits[0].begin_secs;
     for parallelism in [Parallelism::Serial, Parallelism::Fixed(8), Parallelism::Auto] {
-        let result = system(3, parallelism).execute(&query).unwrap();
+        let result = service(parallelism).execute(3, &query).unwrap();
         assert_eq!(result.chunks_processed, 0);
         assert_eq!(result.releases.len(), 1, "COUNT over an empty table still releases (noisy) zero");
     }

@@ -5,7 +5,7 @@
 use privid::query::Value;
 use privid::sandbox::{RowFloodProcessor, SlowProcessor};
 use privid::video::{ObjectClass, ObjectId, PresenceSegment, TrackedObject};
-use privid::{ChunkProcessor, PrivacyPolicy, PrividSystem, SceneConfig, SceneGenerator, UniqueEntrantProcessor};
+use privid::{ChunkProcessor, PrivacyPolicy, QueryService, SceneConfig, SceneGenerator, UniqueEntrantProcessor};
 
 const COUNT_QUERY: &str = "
     SPLIT campus BEGIN 0 END 10 min BY TIME 10 sec STRIDE 0 sec INTO chunks;
@@ -13,8 +13,8 @@ const COUNT_QUERY: &str = "
         WITH SCHEMA (count:NUMBER=0) INTO people;
     SELECT COUNT(*) FROM people CONSUMING 1.0;";
 
-fn system_with(scene: privid::Scene, seed: u64, processor: &'static str) -> PrividSystem {
-    let mut sys = PrividSystem::new(seed);
+fn service_with(scene: privid::Scene, processor: &'static str) -> QueryService {
+    let sys = QueryService::new();
     sys.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 10.0)).expect("camera/processor registration must succeed");
     match processor {
         "flood" => sys.register_processor("proc", || Box::new(RowFloodProcessor { rows: 10_000 }) as Box<dyn ChunkProcessor>),
@@ -33,8 +33,8 @@ fn adversarial_row_flood_cannot_exceed_declared_sensitivity() {
     // so the raw count is bounded by chunks × 5 and the sensitivity stays at
     // the declared 5 · K · (1 + ⌈ρ/c⌉).
     let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.25)).generate();
-    let mut sys = system_with(scene, 1, "flood");
-    let result = sys.execute_text(COUNT_QUERY).unwrap();
+    let sys = service_with(scene, "flood");
+    let result = sys.execute_text(1, COUNT_QUERY).unwrap();
     let release = &result.releases[0];
     assert_eq!(release.sensitivity, 5.0 * 2.0 * 7.0);
     let raw = release.raw.as_number().unwrap();
@@ -44,8 +44,8 @@ fn adversarial_row_flood_cannot_exceed_declared_sensitivity() {
 #[test]
 fn timing_out_processor_only_contributes_default_rows() {
     let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.25)).generate();
-    let mut sys = system_with(scene, 2, "slow");
-    let result = sys.execute_text(COUNT_QUERY).unwrap();
+    let sys = service_with(scene, "slow");
+    let result = sys.execute_text(2, COUNT_QUERY).unwrap();
     // Every chunk times out and yields exactly one default row.
     assert_eq!(result.releases[0].raw.as_number().unwrap(), 60.0);
 }
@@ -53,12 +53,12 @@ fn timing_out_processor_only_contributes_default_rows() {
 #[test]
 fn budget_composes_across_adaptive_queries_and_is_enforced() {
     let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.25)).generate();
-    let mut sys = system_with(scene, 3, "counter");
+    let sys = service_with(scene, "counter");
     let mut spent = 0.0;
     // Adaptive sequence: keep issuing queries until the ledger refuses.
     let mut refused = false;
-    for _ in 0..15 {
-        match sys.execute_text(COUNT_QUERY) {
+    for seed in 0..15 {
+        match sys.execute_text(seed, COUNT_QUERY) {
             Ok(r) => spent += r.epsilon_spent,
             Err(privid::PrividError::BudgetExhausted { requested, available, .. }) => {
                 assert!(available < requested);
@@ -102,10 +102,10 @@ fn neighbouring_videos_produce_statistically_close_outputs() {
     let mut outputs_a = Vec::new();
     let mut outputs_b = Vec::new();
     for t in 0..trials {
-        let mut sys_a = system_with(base.clone(), 100 + t, "counter");
-        let mut sys_b = system_with(with_extra.clone(), 200 + t, "counter");
-        outputs_a.push(sys_a.execute_text(COUNT_QUERY).unwrap().releases[0].value.as_number().unwrap());
-        outputs_b.push(sys_b.execute_text(COUNT_QUERY).unwrap().releases[0].value.as_number().unwrap());
+        let sys_a = service_with(base.clone(), "counter");
+        let sys_b = service_with(with_extra.clone(), "counter");
+        outputs_a.push(sys_a.execute_text(100 + t, COUNT_QUERY).unwrap().releases[0].value.as_number().unwrap());
+        outputs_b.push(sys_b.execute_text(200 + t, COUNT_QUERY).unwrap().releases[0].value.as_number().unwrap());
     }
     let mean_a: f64 = outputs_a.iter().sum::<f64>() / trials as f64;
     let mean_b: f64 = outputs_b.iter().sum::<f64>() / trials as f64;

@@ -2,7 +2,7 @@
 //! including the interface restrictions Privid imposes on analysts.
 
 use privid::query::{QueryError, Schema, SensitivityContext, TableProfile};
-use privid::{parse_query, Aggregation, ChunkProcessor, PrivacyPolicy, PrividError, PrividSystem, Relation};
+use privid::{parse_query, Aggregation, ChunkProcessor, PrivacyPolicy, PrividError, QueryService, Relation};
 use privid::{SceneConfig, SceneGenerator, UniqueEntrantProcessor};
 
 #[test]
@@ -36,7 +36,7 @@ fn listing1_schema_roundtrip() {
 #[test]
 fn interface_restrictions_are_enforced_end_to_end() {
     let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.1)).generate();
-    let mut sys = PrividSystem::new(1);
+    let sys = QueryService::new();
     sys.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 10.0)).expect("camera/processor registration must succeed");
     sys.register_processor("proc", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
 
@@ -45,7 +45,7 @@ fn interface_restrictions_are_enforced_end_to_end() {
         SPLIT campus BEGIN 0 END 5 min BY TIME 10 sec STRIDE 0 sec INTO c;
         PROCESS c USING proc TIMEOUT 1 sec PRODUCING 5 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
         SELECT SUM(count) FROM t CONSUMING 1.0;";
-    match sys.execute_text(missing_range) {
+    match sys.execute_text(1, missing_range) {
         Err(PrividError::Query(QueryError::MissingConstraint(msg))) => assert!(msg.contains("range")),
         other => panic!("expected a missing-constraint error, got {other:?}"),
     }
@@ -55,7 +55,7 @@ fn interface_restrictions_are_enforced_end_to_end() {
         SPLIT campus BEGIN 0 END 5 min BY TIME 10 sec STRIDE 0 sec INTO c;
         PROCESS c USING proc TIMEOUT 1 sec PRODUCING 5 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
         SELECT COUNT(*) FROM t GROUP BY count CONSUMING 1.0;";
-    assert!(matches!(sys.execute_text(no_keys), Err(PrividError::Query(QueryError::Unsupported(_)))));
+    assert!(matches!(sys.execute_text(1, no_keys), Err(PrividError::Query(QueryError::Unsupported(_)))));
 
     // The outer SELECT must aggregate.
     assert!(parse_query("SELECT plate FROM tableA;").is_err());
@@ -66,14 +66,14 @@ fn explicit_keys_control_the_number_of_releases_not_the_data() {
     // Even keys absent from the data produce (noisy) releases, so the set of
     // released values never leaks which keys exist (the [58] requirement).
     let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.1)).generate();
-    let mut sys = PrividSystem::new(2);
+    let sys = QueryService::new();
     sys.register_camera("campus", scene, PrivacyPolicy::new(60.0, 2, 10.0)).expect("camera/processor registration must succeed");
     sys.register_processor("proc", || Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>).expect("camera/processor registration must succeed");
     let q = r#"
         SPLIT campus BEGIN 0 END 5 min BY TIME 10 sec STRIDE 0 sec INTO c;
         PROCESS c USING proc TIMEOUT 1 sec PRODUCING 5 ROWS WITH SCHEMA (count:NUMBER=0) INTO t;
         SELECT COUNT(*) FROM t GROUP BY count WITH KEYS [1, 2, 777] CONSUMING 0.9;"#;
-    let result = sys.execute_text(q).unwrap();
+    let result = sys.execute_text(2, q).unwrap();
     assert_eq!(result.releases.len(), 3);
     let ghost = result.releases.iter().find(|r| r.group_key.as_deref() == Some("777")).unwrap();
     assert_eq!(ghost.raw.as_number().unwrap(), 0.0);

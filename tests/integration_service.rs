@@ -46,7 +46,7 @@ fn scene() -> Scene {
 fn service() -> QueryService {
     // Fixed(2) keeps total thread fan-out (analysts × engine workers) sane on
     // small CI machines; determinism holds at any setting.
-    let service = QueryService::new().with_parallelism(Parallelism::Fixed(2));
+    let service = QueryService::builder().parallelism(Parallelism::Fixed(2)).build().expect("in-memory service builds");
     service.register_camera("campus", scene(), PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
     service.register_processor("person_counter", || {
         Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
@@ -119,7 +119,7 @@ fn contended_budget_admits_each_epsilon_at_most_once() {
     // 8 analysts race 0.5-ε queries against a 2.0-ε budget: exactly 4 win.
     // (Which four is arrival order — like a real deployment — but accounting
     // must be exact regardless.)
-    let service = QueryService::new().with_parallelism(Parallelism::Fixed(1));
+    let service = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
     service.register_camera("campus", scene(), PrivacyPolicy::new(60.0, 2, 2.0)).expect("camera/processor registration must succeed");
     service.register_processor("person_counter", || {
         Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
@@ -142,19 +142,4 @@ fn contended_budget_admits_each_epsilon_at_most_once() {
         }
     }
     assert!(service.remaining_budget("campus", 450.0).unwrap().abs() < 1e-9, "window budget exactly exhausted");
-}
-
-#[test]
-fn single_analyst_facade_and_service_share_semantics() {
-    // A PrividSystem query and a QueryService query with the same seed and
-    // a fresh noise stream are the same computation.
-    let query = format!("{SHARED_PROLOG} SELECT COUNT(*) FROM people CONSUMING 0.5;");
-    let mut sys = privid::PrividSystem::new(42).with_parallelism(Parallelism::Fixed(2));
-    sys.register_camera("campus", scene(), PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera/processor registration must succeed");
-    sys.register_processor("person_counter", || {
-        Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
-    }).expect("camera/processor registration must succeed");
-    let via_system = sys.execute_text(&query).unwrap();
-    let via_service = service().execute_text(42, &query).unwrap();
-    assert_eq!(via_system, via_service, "first query of a seed-42 system == seed-42 service session");
 }
