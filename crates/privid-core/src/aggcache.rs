@@ -34,6 +34,7 @@
 //! inserts under one key race benignly: both values are bit-identical by
 //! construction, and insertion keeps the first.
 
+use crate::cache::ProcessIdentity;
 use privid_query::AggState;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,64 +44,34 @@ use std::sync::{Arc, Mutex};
 /// state per aggregation of the statement, in declaration order.
 pub type CachedStates = Arc<Vec<AggState>>;
 
-/// Identity of one folded aggregation prefix: the full PROCESS identity of
-/// tier 1 (minus the live-edge tag — entries cover closed chunks only), plus
-/// the compiled plan's fingerprint and the number of leading chunks folded.
+/// Identity of one folded aggregation prefix: the PROCESS identity of tier 1
+/// (without the live-edge tag — entries cover closed chunks only), plus the
+/// compiled plan's fingerprint and the number of leading chunks folded.
+///
+/// A fold probes many prefixes of one (PROCESS, plan) pair — the target, then
+/// a walk back to the longest cached one. The key is built once for the pair
+/// and every other prefix derived with [`AggCacheKey::with_prefix`], which
+/// shares both halves: no probe allocates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggCacheKey {
-    camera: String,
-    camera_generation: u64,
-    /// Window start/end in microseconds (exact integer timeline).
-    window_micros: (i64, i64),
-    /// Chunk duration and stride as IEEE bit patterns (exact).
-    chunk_bits: (u64, u64),
-    mask: Option<(String, u64)>,
-    region_scheme: Option<String>,
-    processor: String,
-    processor_generation: u64,
-    /// Sandbox spec: timeout bit pattern, max rows, canonical schema text.
-    timeout_bits: u64,
-    max_rows: usize,
-    schema: String,
+    process: Arc<ProcessIdentity>,
     /// The compiled SELECT's plan fingerprint (relation tree + aggregations;
     /// ε is deliberately excluded — it shapes noise, not the folded state).
-    plan: String,
+    plan: Arc<str>,
     /// How many leading chunks of the window this state has folded.
     prefix_chunks: u32,
 }
 
 impl AggCacheKey {
-    /// Build a key from the resolved pieces of a PROCESS statement plus the
-    /// compiled SELECT identity.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        camera: (&str, u64),
-        window_micros: (i64, i64),
-        chunk_bits: (u64, u64),
-        mask: Option<(&str, u64)>,
-        region_scheme: Option<&str>,
-        processor: (&str, u64),
-        timeout_bits: u64,
-        max_rows: usize,
-        schema_repr: &str,
-        plan_fingerprint: &str,
-        prefix_chunks: u32,
-    ) -> Self {
-        AggCacheKey {
-            camera: camera.0.to_string(),
-            camera_generation: camera.1,
-            window_micros,
-            chunk_bits,
-            mask: mask.map(|(id, generation)| (id.to_string(), generation)),
-            region_scheme: region_scheme.map(str::to_string),
-            processor: processor.0.to_string(),
-            processor_generation: processor.1,
-            timeout_bits,
-            max_rows,
-            schema: schema_repr.to_string(),
-            plan: plan_fingerprint.to_string(),
-            prefix_chunks,
-        }
+    /// The key of `prefix_chunks` leading chunks of `process`'s table folded
+    /// by the plan with this fingerprint.
+    pub fn new(process: Arc<ProcessIdentity>, plan_fingerprint: &str, prefix_chunks: u32) -> Self {
+        AggCacheKey { process, plan: Arc::from(plan_fingerprint), prefix_chunks }
+    }
+
+    /// The key of another prefix of the same (PROCESS, plan) pair.
+    pub fn with_prefix(&self, prefix_chunks: u32) -> Self {
+        AggCacheKey { prefix_chunks, ..self.clone() }
     }
 }
 
@@ -232,7 +203,7 @@ impl AggStateCache {
     /// the old entries unreachable anyway — this reclaims their space).
     pub fn invalidate_camera(&self, camera: &str) {
         let mut inner = self.agg_entries.lock().expect("agg cache lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-        inner.map.retain(|k, _| k.camera != camera);
+        inner.map.retain(|k, _| k.process.camera() != camera);
         inner.prune_order();
     }
 
@@ -240,7 +211,7 @@ impl AggStateCache {
     /// re-published; other masks' and unmasked entries stay warm).
     pub fn invalidate_mask(&self, camera: &str, mask_id: &str) {
         let mut inner = self.agg_entries.lock().expect("agg cache lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-        inner.map.retain(|k, _| k.camera != camera || !matches!(&k.mask, Some((id, _)) if id == mask_id));
+        inner.map.retain(|k, _| !k.process.uses_mask(camera, mask_id));
         inner.prune_order();
     }
 
@@ -248,7 +219,7 @@ impl AggStateCache {
     /// re-registered under the same name).
     pub fn invalidate_processor(&self, processor: &str) {
         let mut inner = self.agg_entries.lock().expect("agg cache lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-        inner.map.retain(|k, _| k.processor != processor);
+        inner.map.retain(|k, _| k.process.processor() != processor);
         inner.prune_order();
     }
 
@@ -267,21 +238,21 @@ impl AggStateCache {
 mod tests {
     use super::*;
     use privid_query::ast::AggregateFunction;
+    use privid_video::{ChunkSpec, TimeSpan};
 
     fn key(camera: &str, plan: &str, prefix: u32) -> AggCacheKey {
-        AggCacheKey::new(
+        let process = ProcessIdentity::new(
             (camera, 0),
-            (0, 60_000_000),
-            (10.0f64.to_bits(), 0.0f64.to_bits()),
+            &TimeSpan::from_secs(60.0),
+            &ChunkSpec::contiguous(10.0),
             None,
             None,
             ("p", 0),
-            1.0f64.to_bits(),
+            1.0,
             20,
-            "(count:NUMBER=0)",
-            plan,
-            prefix,
-        )
+            "(count:NUMBER=0)".into(),
+        );
+        AggCacheKey::new(process, plan, prefix)
     }
 
     fn states(n: f64) -> CachedStates {
@@ -298,6 +269,7 @@ mod tests {
         cache.insert(key("campus", "count", 3), states(3.0));
         assert!(cache.get(&key("campus", "count", 3)).is_some());
         assert!(cache.peek(&key("campus", "count", 2)).is_none(), "shorter prefix is a different entry");
+        assert!(cache.peek(&key("campus", "count", 9).with_prefix(3)).is_some(), "a derived key is that prefix's key");
         assert!(cache.get(&key("campus", "sum", 3)).is_none(), "different plan fingerprint");
         assert!(cache.get(&key("other", "count", 3)).is_none(), "different camera");
         let stats = cache.stats();

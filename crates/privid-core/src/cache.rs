@@ -59,8 +59,12 @@ use std::sync::{Arc, Mutex};
 /// execution, so `chunks_processed` accounting is identical on hit and miss.
 pub type CachedOutputs = Arc<Table>;
 
-/// Identity of one PROCESS execution. Two PROCESS statements with equal keys
-/// are guaranteed to produce identical sandbox outputs.
+/// Everything that determines the rows a PROCESS statement produces from
+/// *closed* footage: camera, window, chunk geometry, mask, region scheme,
+/// processor and sandbox spec. Built once per PROCESS statement and shared
+/// (behind an `Arc`) by the tier-1 key, the tier-2 keys and the standing
+/// pump's per-call tail memo, so the three can never disagree on what
+/// "the same PROCESS" means.
 ///
 /// The camera and processor are identified by `(name, generation)` pairs: the
 /// registry bumps a generation every time a name is (re-)registered, so a
@@ -68,7 +72,7 @@ pub type CachedOutputs = Arc<Table>;
 /// outputs under a key the *new* registration would hit — re-registration
 /// invalidation stays correct even against in-flight queries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ChunkCacheKey {
+pub struct ProcessIdentity {
     camera: String,
     camera_generation: u64,
     /// Window start/end in microseconds (exact integer timeline).
@@ -85,17 +89,10 @@ pub struct ChunkCacheKey {
     timeout_bits: u64,
     max_rows: usize,
     schema: String,
-    /// Live-edge tag: `None` for fixed recordings and for windows that were
-    /// already closed (fully recorded) when the entry was computed; for a
-    /// window overlapping a live camera's edge, the edge it was computed at.
-    /// Closed-window keys are therefore stable across appends (entries stay
-    /// warm), while overlap keys become unreachable as soon as the edge moves
-    /// — see the module docs for the full invalidation rule.
-    live_edge_micros: Option<i64>,
 }
 
-impl ChunkCacheKey {
-    /// Build a key from the resolved pieces of a PROCESS statement.
+impl ProcessIdentity {
+    /// Build an identity from the resolved pieces of a PROCESS statement.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         camera: (&str, u64),
@@ -107,9 +104,8 @@ impl ChunkCacheKey {
         timeout_secs: Seconds,
         max_rows: usize,
         schema_repr: String,
-        live_edge_micros: Option<i64>,
-    ) -> Self {
-        ChunkCacheKey {
+    ) -> Arc<Self> {
+        Arc::new(ProcessIdentity {
             camera: camera.0.to_string(),
             camera_generation: camera.1,
             window_micros: (window.start.as_micros(), window.end.as_micros()),
@@ -121,8 +117,44 @@ impl ChunkCacheKey {
             timeout_bits: timeout_secs.to_bits(),
             max_rows,
             schema: schema_repr,
-            live_edge_micros,
-        }
+        })
+    }
+
+    /// The camera the PROCESS reads.
+    pub fn camera(&self) -> &str {
+        &self.camera
+    }
+
+    /// The processor it runs.
+    pub fn processor(&self) -> &str {
+        &self.processor
+    }
+
+    /// True when it runs under mask `mask_id` of `camera`.
+    pub fn uses_mask(&self, camera: &str, mask_id: &str) -> bool {
+        self.camera == camera && matches!(&self.mask, Some((id, _)) if id == mask_id)
+    }
+}
+
+/// Identity of one PROCESS execution. Two PROCESS statements with equal keys
+/// are guaranteed to produce identical sandbox outputs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ChunkCacheKey {
+    process: Arc<ProcessIdentity>,
+    /// Live-edge tag: `None` for fixed recordings and for windows that were
+    /// already closed (fully recorded) when the entry was computed; for a
+    /// window overlapping a live camera's edge, the edge it was computed at.
+    /// Closed-window keys are therefore stable across appends (entries stay
+    /// warm), while overlap keys become unreachable as soon as the edge moves
+    /// — see the module docs for the full invalidation rule.
+    live_edge_micros: Option<i64>,
+}
+
+impl ChunkCacheKey {
+    /// The key of `process` executed against a snapshot with this live-edge
+    /// tag.
+    pub fn new(process: Arc<ProcessIdentity>, live_edge_micros: Option<i64>) -> Self {
+        ChunkCacheKey { process, live_edge_micros }
     }
 }
 
@@ -162,6 +194,17 @@ impl CacheInner {
     fn prune_order(&mut self) {
         let CacheInner { map, order } = self;
         order.retain(|(stamp, key)| map.get(key).is_some_and(|(s, _)| s == stamp));
+    }
+
+    /// Drop the entries `stale` selects and — only if any went — their order
+    /// records: the common live append finds nothing tagged with the old
+    /// edge, and must not pay a hash probe per resident entry for that.
+    fn remove_where(&mut self, stale: impl Fn(&ChunkCacheKey) -> bool) {
+        let resident = self.map.len();
+        self.map.retain(|k, _| !stale(k));
+        if self.map.len() != resident {
+            self.prune_order();
+        }
     }
 }
 
@@ -261,24 +304,21 @@ impl ChunkResultCache {
     /// outputs may no longer match the footage).
     pub fn invalidate_camera(&self, camera: &str) {
         let mut inner = self.entries.lock().expect("chunk cache lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-        inner.map.retain(|k, _| k.camera != camera);
-        inner.prune_order();
+        inner.remove_where(|k| k.process.camera == camera);
     }
 
     /// Drop the entries produced under one of a camera's masks (that mask was
     /// re-published; unmasked entries and other masks' entries stay warm).
     pub fn invalidate_mask(&self, camera: &str, mask_id: &str) {
         let mut inner = self.entries.lock().expect("chunk cache lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-        inner.map.retain(|k, _| k.camera != camera || !matches!(&k.mask, Some((id, _)) if id == mask_id));
-        inner.prune_order();
+        inner.remove_where(|k| k.process.uses_mask(camera, mask_id));
     }
 
     /// Drop every entry produced by a processor (it was re-registered under
     /// the same name, possibly with different behaviour).
     pub fn invalidate_processor(&self, processor: &str) {
         let mut inner = self.entries.lock().expect("chunk cache lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-        inner.map.retain(|k, _| k.processor != processor);
-        inner.prune_order();
+        inner.remove_where(|k| k.process.processor == processor);
     }
 
     /// A live camera's edge advanced: drop its entries whose PROCESS window
@@ -287,8 +327,7 @@ impl ChunkResultCache {
     /// final and stay warm — see the module docs for why this is safe.
     pub fn invalidate_live_edge(&self, camera: &str) {
         let mut inner = self.entries.lock().expect("chunk cache lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-        inner.map.retain(|k, _| k.camera != camera || k.live_edge_micros.is_none());
-        inner.prune_order();
+        inner.remove_where(|k| k.live_edge_micros.is_some() && k.process.camera == camera);
     }
 
     /// Number of insertion-order records currently held (test instrumentation
@@ -318,34 +357,26 @@ mod tests {
         Arc::new(Table::new(Schema::new(vec![ColumnDef::number("count", 0.0)]).unwrap()))
     }
 
-    fn key(camera: &str, start: f64, processor: &str) -> ChunkCacheKey {
-        ChunkCacheKey::new(
-            (camera, 0),
+    fn identity(camera: (&str, u64), start: f64, mask: Option<(&str, u64)>, processor: &str) -> Arc<ProcessIdentity> {
+        ProcessIdentity::new(
+            camera,
             &TimeSpan::between_secs(start, start + 100.0),
             &ChunkSpec::contiguous(5.0),
-            None,
+            mask,
             None,
             (processor, 0),
             1.0,
             20,
             "(count:NUMBER=0)".into(),
-            None,
         )
     }
 
+    fn key(camera: &str, start: f64, processor: &str) -> ChunkCacheKey {
+        ChunkCacheKey::new(identity((camera, 0), start, None, processor), None)
+    }
+
     fn live_key(camera: &str, start: f64, edge_secs: f64) -> ChunkCacheKey {
-        ChunkCacheKey::new(
-            (camera, 0),
-            &TimeSpan::between_secs(start, start + 100.0),
-            &ChunkSpec::contiguous(5.0),
-            None,
-            None,
-            ("p", 0),
-            1.0,
-            20,
-            "(count:NUMBER=0)".into(),
-            Some((edge_secs * 1e6) as i64),
-        )
+        ChunkCacheKey::new(identity((camera, 0), start, None, "p"), Some((edge_secs * 1e6) as i64))
     }
 
     #[test]
@@ -366,31 +397,9 @@ mod tests {
         assert!(cache.get(&key("campus", 100.0, "p")).is_none(), "different window");
         assert!(cache.get(&key("highway", 0.0, "p")).is_none(), "different camera");
         assert!(cache.get(&key("campus", 0.0, "q")).is_none(), "different processor");
-        let masked = ChunkCacheKey::new(
-            ("campus", 0),
-            &TimeSpan::between_secs(0.0, 100.0),
-            &ChunkSpec::contiguous(5.0),
-            Some(("m", 0)),
-            None,
-            ("p", 0),
-            1.0,
-            20,
-            "(count:NUMBER=0)".into(),
-            None,
-        );
+        let masked = ChunkCacheKey::new(identity(("campus", 0), 0.0, Some(("m", 0)), "p"), None);
         assert!(cache.get(&masked).is_none(), "different mask");
-        let new_generation = ChunkCacheKey::new(
-            ("campus", 1),
-            &TimeSpan::between_secs(0.0, 100.0),
-            &ChunkSpec::contiguous(5.0),
-            None,
-            None,
-            ("p", 0),
-            1.0,
-            20,
-            "(count:NUMBER=0)".into(),
-            None,
-        );
+        let new_generation = ChunkCacheKey::new(identity(("campus", 1), 0.0, None, "p"), None);
         assert!(cache.get(&new_generation).is_none(), "re-registered camera generation");
         assert!(cache.get(&live_key("campus", 0.0, 40.0)).is_none(), "live-edge tag is part of the identity");
     }

@@ -90,7 +90,7 @@ pub use budget::{
     admit_fleet, AdmissionController, AdmissionFailure, AdmissionJournal, AdmissionRequest, BudgetError,
     BudgetLedger, CommitWait, ShardAdmission,
 };
-pub use cache::{ChunkCacheKey, ChunkCacheStats, ChunkResultCache};
+pub use cache::{ChunkCacheKey, ChunkCacheStats, ChunkResultCache, ProcessIdentity};
 pub use degradation::{detection_probability_bound, DegradationCurve};
 pub use error::PrividError;
 pub use health::{CameraHealth, StoreRetryPolicy};

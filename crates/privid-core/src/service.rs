@@ -22,6 +22,20 @@
 //! debited per admitted query, so serving a cached raw table is invisible to
 //! the analyst except in latency (see `cache` module docs for the DP-safety
 //! argument).
+//!
+//! **Live ingestion costs the batch.** A live camera is one long-lived
+//! [`Recording`] behind its ingest lock plus the snapshot of it the registry
+//! currently publishes. [`QueryService::append_frames`] extends the
+//! recording and publishes a fresh snapshot; snapshots share storage with the
+//! recording (see `privid_video::scene`), so neither the footage already
+//! recorded nor the snapshots sessions still hold are copied. The standing
+//! pump that follows is scoped to the cameras whose edge moved: the standing
+//! registry indexes queries by the cameras they read, only the appended
+//! camera's are visited, due windows run the shared prototype at an offset,
+//! and one `session::TailMemo` per pump call lets every query with the same
+//! PROCESS over the same window share one execution of the newly closed
+//! chunks. `StandingFired` watermarks are staged as the firings complete and
+//! committed together, before any of the call's firings becomes visible.
 
 use crate::aggcache::{AggCacheStats, AggStateCache};
 use crate::budget::{
@@ -42,7 +56,7 @@ use privid_store::{
     CameraRecord, Durability, Record, RecoveryReport, RecoveryWarning, StoreError, Vfs, WalOptions, WalStore,
 };
 use privid_video::{CameraId, FrameBatch, FrameRate, FrameSize, Recording, Scene, Seconds, TimeSpan};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -51,10 +65,12 @@ use std::sync::{Arc, Mutex, RwLock};
 /// invalidates) queries already in flight.
 ///
 /// For a *live* camera every appended frame batch publishes a fresh
-/// `CameraState` (copy-on-write snapshot of the grown scene) while the ledger
-/// and mask registry are `Arc`-shared across snapshots: budget is debited on
-/// the one true ledger no matter which snapshot a session resolved, and a
-/// mask published mid-recording is visible to every later snapshot.
+/// `CameraState` holding a snapshot of the grown scene — O(1) to take, since
+/// [`Scene`] snapshots share storage with the recording they came from —
+/// while the recording, the ledger and the mask registry are `Arc`-shared
+/// across snapshots: budget is debited on the one true ledger no matter
+/// which snapshot a session resolved, and a mask published mid-recording is
+/// visible to every later snapshot.
 pub(crate) struct CameraState {
     pub(crate) scene: Scene,
     pub(crate) policy: PrivacyPolicy,
@@ -68,9 +84,19 @@ pub(crate) struct CameraState {
     /// never hit. Appends keep the generation (closed-window cache entries
     /// stay warm — the footage they cover is final).
     pub(crate) generation: u64,
-    /// True for an append-only live recording; its `scene.span.end` is the
-    /// live edge this snapshot was taken at.
-    pub(crate) live: bool,
+    /// The writer side of a *live* camera (`None` for a fixed recording): the
+    /// one long-lived [`Recording`] every append extends and every snapshot's
+    /// `scene` was taken from; `scene.span.end` is the live edge the snapshot
+    /// was taken at. Its mutex is the camera's ingest lock — see
+    /// [`QueryService::append_frames`].
+    recording: Option<Arc<Mutex<Recording>>>,
+}
+
+impl CameraState {
+    /// True for an append-only live recording.
+    pub(crate) fn live(&self) -> bool {
+        self.recording.is_some()
+    }
 }
 
 /// What one [`QueryService::append_frames`] call did.
@@ -118,7 +144,9 @@ pub struct StandingPoll {
 /// A registered standing query: the prototype (windows relative to zero), the
 /// cameras it reads, and the high-watermark of windows already fired.
 struct StandingState {
-    query: ParsedQuery,
+    /// Shared with every firing and pre-fold of the query, which run it
+    /// shifted by their window's start (see `session`): never cloned.
+    query: Arc<ParsedQuery>,
     /// The original query text — journaled for recovery, and compared on
     /// re-registration so restoring the same standing query after a restart
     /// resumes its watermark instead of resetting (and re-debiting) it.
@@ -144,14 +172,42 @@ struct StandingState {
     owner: Option<String>,
 }
 
+/// The standing-query registry: the queries by name, and the names by the
+/// cameras they read — the pump visits only the queries of the cameras whose
+/// edge moved, however many the fleet holds.
+#[derive(Default)]
+struct StandingRegistry {
+    queries: HashMap<String, StandingState>,
+    by_camera: HashMap<String, BTreeSet<String>>,
+}
+
+impl StandingRegistry {
+    /// Register `state` under `name`, replacing (and unlinking) any previous
+    /// registration of the name.
+    fn insert(&mut self, name: String, state: StandingState) {
+        if let Some(old) = self.queries.get(&name) {
+            for camera in &old.cameras {
+                if let Some(names) = self.by_camera.get_mut(camera) {
+                    names.remove(&name);
+                }
+            }
+        }
+        for camera in &state.cameras {
+            self.by_camera.entry(camera.clone()).or_default().insert(name.clone());
+        }
+        self.queries.insert(name, state);
+    }
+}
+
 /// A due standing-query window collected under the registry lock, executed
-/// outside it.
+/// outside it: the prototype plus the window's start to shift it by.
 struct StandingJob {
     name: String,
     window: TimeSpan,
     index: u64,
     seed: u64,
-    query: ParsedQuery,
+    query: Arc<ParsedQuery>,
+    offset_secs: Seconds,
     /// The tenant whose ε quota this firing debits (`None`: unmetered
     /// in-process registration).
     owner: Option<String>,
@@ -203,11 +259,12 @@ pub struct QueryService {
     /// and snapshot under `dir/shard-<k>/`. One shard (the default)
     /// reproduces the pre-fleet service exactly.
     shards: Vec<ServiceShard>,
-    /// Registered standing queries, keyed by name — global, not sharded: a
-    /// standing query may reference cameras on several shards. Its journal
-    /// records live on the shard its *name* hashes to. A `Mutex` (not
-    /// `RwLock`): every access mutates the firing high-watermark or results.
-    standing: Mutex<HashMap<String, StandingState>>,
+    /// Registered standing queries, keyed by name and indexed by camera —
+    /// global, not sharded: a standing query may reference cameras on several
+    /// shards. Its journal records live on the shard its *name* hashes to. A
+    /// `Mutex` (not `RwLock`): every access mutates the firing high-watermark
+    /// or results.
+    standing: Mutex<StandingRegistry>,
     /// Source of registration generations for cameras and processors —
     /// global and monotonic across shards, so a recovered fleet resumes the
     /// counter past every shard's generations.
@@ -360,7 +417,7 @@ impl QueryService {
     pub fn new() -> Self {
         QueryService {
             shards: vec![ServiceShard::new(0, None)],
-            standing: Mutex::new(HashMap::new()),
+            standing: Mutex::new(StandingRegistry::default()),
             generations: AtomicU64::new(0),
             default_epsilon: 1.0,
             parallelism: Parallelism::Auto,
@@ -419,7 +476,7 @@ impl QueryService {
                 masks: Arc::new(RwLock::new(HashMap::new())),
                 ledger: Arc::new(ledger),
                 generation,
-                live: false,
+                recording: None,
             });
             cameras.insert(name, state);
             Ok(())
@@ -448,7 +505,7 @@ impl QueryService {
         policy: PrivacyPolicy,
     ) -> Result<(), PrividError> {
         let name = name.into();
-        let scene = Recording::start(CameraId::new(name.as_str()), frame_rate, frame_size).into_scene();
+        let recording = Recording::start(CameraId::new(name.as_str()), frame_rate, frame_size);
         let shard = self.shard_of(&name);
         shard.cache.invalidate_camera(&name);
         shard.agg_cache.invalidate_camera(&name);
@@ -456,12 +513,12 @@ impl QueryService {
             let mut cameras = shard.cameras.write().expect("camera registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
             let (generation, ledger) = self.camera_ledger(shard, &name, 0.0, policy, true)?;
             let state = Arc::new(CameraState {
-                scene,
+                scene: recording.scene().clone(),
                 policy,
                 masks: Arc::new(RwLock::new(HashMap::new())),
                 ledger: Arc::new(ledger),
                 generation,
-                live: true,
+                recording: Some(Arc::new(Mutex::new(recording))),
             });
             cameras.insert(name, state);
             Ok(())
@@ -529,11 +586,22 @@ impl QueryService {
 
     /// Append one batch of freshly recorded footage to a live camera,
     /// advancing its live edge and growing its budget ledger (new slots are
-    /// born with full ε). Publishes a copy-on-write snapshot of the grown
-    /// scene — sessions already in flight finish against the edge they
-    /// resolved — invalidates cached chunk results whose window overlapped
-    /// the old live edge (closed-window entries stay warm), and then fires
-    /// every standing query whose next window the new edge completed.
+    /// born with full ε). Publishes a snapshot of the grown scene — sessions
+    /// already in flight finish against the edge they resolved — invalidates
+    /// cached chunk results whose window overlapped the old live edge
+    /// (closed-window entries stay warm), and then fires every standing
+    /// query *of this camera* whose next window the new edge completed.
+    ///
+    /// ## Cost model
+    ///
+    /// An append costs O(batch), end to end, however much footage the camera
+    /// already holds. The scene's objects and time index are structurally
+    /// shared ([`privid_video::PagedVec`]): extending the camera's one
+    /// long-lived [`Recording`] copies only the pages and index buckets the
+    /// batch touches, the published snapshot is an O(1) clone of it, and
+    /// dropping the predecessor snapshot frees only those few copied pages.
+    /// The pump then visits only this camera's standing queries and runs each
+    /// newly closed chunk once per distinct window (see `session`).
     ///
     /// ## Degraded modes
     ///
@@ -545,95 +613,23 @@ impl QueryService {
     /// returns the retryable [`PrividError::CameraQuarantined`]: the ledger
     /// never grows without a journaled record, and only a supervised
     /// [`QueryService::recover_store`] resumes ingestion.
-    pub fn append_frames(&self, camera: &str, batch: FrameBatch) -> Result<AppendOutcome, PrividError> {
+    pub fn append_frames(&self, camera: &str, mut batch: FrameBatch) -> Result<AppendOutcome, PrividError> {
         self.ensure_admittable(camera)?;
-        // Everything below is scoped to the owning shard: the exclusive
-        // section holds *this shard's* gate only, so an append here never
-        // stalls admissions (or other appends) on any other shard.
-        let shard = self.shard_of(camera);
-        // The copy-on-write snapshot (O(scene)) is built *outside* the
-        // registry write lock — holding it there would stall every query's
-        // camera resolution for the duration of the clone. The swap then
-        // happens under the write lock only if no other append (or
-        // re-registration) got there first; on conflict, redo against the
-        // winner's state. Progress is guaranteed: a retry only happens when
-        // some other writer succeeded.
         let mut attempt = 0u32;
         let live_edge_secs = loop {
-            let base = self.camera(camera).ok_or_else(|| PrividError::UnknownCamera(camera.to_string()))?;
-            if !base.live {
-                return Err(PrividError::Invalid(format!(
-                    "camera {camera} is a fixed recording; only live cameras accept frame batches"
-                )));
-            }
-            let mut recording = Recording::from_scene(base.scene.clone());
-            recording.append_batch(batch.clone()).map_err(|e| PrividError::Invalid(e.to_string()))?;
-            let scene = recording.into_scene();
-            let edge_secs = scene.span.end.as_secs();
-            // Order matters: grow the ledger *before* publishing the
-            // snapshot (a session resolving the new scene must find its
-            // slots funded), and drop overlap cache entries while holding
-            // the write lock so no session can resolve the new edge and
-            // still hit them.
-            //
-            // With durability the new edge is journaled *before* the ledger
-            // grows, under the admission gate (acquired before the registry
-            // lock — gate-before-registry is the system's lock order):
-            // admissions resolve their debit slot ranges between check and
-            // debit, so extensions must not interleave — and the WAL must
-            // observe extends and admits in exactly the order the ledger
-            // does. A crash between journal and extend recovers a timeline
-            // slightly ahead of the footage; queries there fail retryably,
-            // and no slot gains ε.
-            let published: Option<Result<Seconds, PrividError>> = shard.admission.exclusive(|| {
-                let mut cameras = shard.cameras.write().expect("camera registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-                match cameras.get(camera) {
-                    Some(current) if Arc::ptr_eq(current, &base) => {
-                        if let Some(store) = &shard.store {
-                            // Skip the record when the edge does not advance
-                            // the ledger: post-crash replay of recorded
-                            // batches would otherwise pay one append (and an
-                            // fsync) per batch for journal no-ops. Race-free:
-                            // the gate serializes every ledger growth.
-                            if edge_secs > base.ledger.duration_secs() {
-                                let record =
-                                    Record::Extend { camera: camera.to_string(), live_edge_secs: edge_secs };
-                                if let Err(e) = store.append(record) {
-                                    return Some(Err(PrividError::Store(e)));
-                                }
-                            }
-                        }
-                        base.ledger.extend_to(edge_secs);
-                        // Only the chunk-result tier carries live-edge-tagged
-                        // entries; aggregate states cover exclusively closed
-                        // chunks, which this append cannot change, so the
-                        // second tier needs no invalidation here.
-                        shard.cache.invalidate_live_edge(camera);
-                        let next = Arc::new(CameraState {
-                            scene,
-                            policy: base.policy,
-                            masks: Arc::clone(&base.masks),
-                            ledger: Arc::clone(&base.ledger),
-                            generation: base.generation,
-                            live: true,
-                        });
-                        cameras.insert(camera.to_string(), next);
-                        Some(Ok(edge_secs))
-                    }
-                    _ => None,
-                }
-            });
-            match published {
-                None => continue,
-                Some(Ok(edge)) => {
-                    if shard.store.is_some() {
+            match self.append_once(camera, &mut batch) {
+                // A re-registration replaced the camera mid-append: redo
+                // against the new one.
+                Ok(None) => continue,
+                Ok(Some(edge)) => {
+                    if self.shard_of(camera).store.is_some() {
                         // Any successful journaled append clears a Degraded
                         // mark (quarantine was refused before the loop).
                         self.set_health(camera, CameraHealth::Healthy);
                     }
                     break edge;
                 }
-                Some(Err(PrividError::Store(e))) => {
+                Err(PrividError::Store(e)) => {
                     if matches!(e, StoreError::Wedged { .. }) {
                         // Durability is compromised until a supervised
                         // reopen; retrying cannot help and must not pretend
@@ -644,7 +640,7 @@ impl QueryService {
                     }
                     if e.is_transient() && attempt < self.retry.max_retries {
                         // Backoff outside every lock, then redo the whole
-                        // append (the CoW loop re-resolves current state).
+                        // append against whatever the camera is by then.
                         attempt += 1;
                         std::thread::sleep(self.retry.backoff(attempt));
                         continue;
@@ -652,11 +648,92 @@ impl QueryService {
                     self.set_health(camera, CameraHealth::Degraded { reason: e.to_string() });
                     return Err(PrividError::Store(e));
                 }
-                Some(Err(other)) => return Err(other),
+                Err(other) => return Err(other),
             }
         };
-        let standing_fired = self.pump_standing_queries();
+        let standing_fired = self.pump_standing_queries(&[camera]);
         Ok(AppendOutcome { live_edge_secs, standing_fired })
+    }
+
+    /// One attempt at appending `batch`: validate, journal the new edge, grow
+    /// the ledger and the recording, publish the snapshot. Returns the new
+    /// edge, or `None` — nothing changed — when the camera was re-registered
+    /// between resolving it and the registry write lock. `batch` is emptied
+    /// only by the attempt that succeeds.
+    fn append_once(&self, camera: &str, batch: &mut FrameBatch) -> Result<Option<Seconds>, PrividError> {
+        // Everything below is scoped to the owning shard: the exclusive
+        // section holds *this shard's* gate only, so an append here never
+        // stalls admissions (or other appends) on any other shard.
+        let shard = self.shard_of(camera);
+        let base = self.camera(camera).ok_or_else(|| PrividError::UnknownCamera(camera.to_string()))?;
+        let Some(ingest) = &base.recording else {
+            return Err(PrividError::Invalid(format!(
+                "camera {camera} is a fixed recording; only live cameras accept frame batches"
+            )));
+        };
+        // Lock-order audit: `camera-ingest` is the outermost lock — taken
+        // with nothing held (`base` is a cloned Arc, not a registry guard);
+        // the shard gate and the registry write lock nest inside it. It
+        // serializes this camera's appenders from validation to publication,
+        // so the recording is only ever extended by a batch whose edge was
+        // journaled, in journal order. Held for O(batch) work plus the
+        // journal append; released before any backoff sleep and before the
+        // standing pump.
+        let mut recording = ingest.lock().expect("camera ingest lock poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+        // Refuse a bad batch before anything is journaled or grown.
+        let edge_secs = recording.validate(batch).map_err(|e| PrividError::Invalid(e.to_string()))?.as_secs();
+        // Order matters: grow the ledger *before* publishing the snapshot (a
+        // session resolving the new scene must find its slots funded), and
+        // drop overlap cache entries while holding the write lock so no
+        // session can resolve the new edge and still hit them.
+        //
+        // With durability the new edge is journaled *before* the ledger
+        // grows, under the admission gate (acquired before the registry lock
+        // — gate-before-registry is the system's lock order): admissions
+        // resolve their debit slot ranges between check and debit, so
+        // extensions must not interleave — and the WAL must observe extends
+        // and admits in exactly the order the ledger does. A crash between
+        // journal and extend recovers a timeline slightly ahead of the
+        // footage; queries there fail retryably, and no slot gains ε.
+        shard.admission.exclusive(|| {
+            let mut cameras = shard.cameras.write().expect("camera registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+            let current = cameras.get(camera).and_then(|state| state.recording.as_ref());
+            if !current.is_some_and(|current| Arc::ptr_eq(current, ingest)) {
+                return Ok(None);
+            }
+            if let Some(store) = &shard.store {
+                // Skip the record when the edge does not advance the ledger:
+                // post-crash replay of recorded batches would otherwise pay
+                // one append (and an fsync) per batch for journal no-ops.
+                // Race-free: the gate serializes every ledger growth.
+                if edge_secs > base.ledger.duration_secs() {
+                    store
+                        .append(Record::Extend { camera: camera.to_string(), live_edge_secs: edge_secs })
+                        .map_err(PrividError::Store)?;
+                }
+            }
+            // Journaled: from here on nothing refuses the batch (it was
+            // validated against this very recording, under its lock).
+            let validated = FrameBatch::new(batch.duration_secs, std::mem::take(&mut batch.objects));
+            recording.append_batch(validated).map_err(|e| PrividError::Invalid(e.to_string()))?;
+            base.ledger.extend_to(edge_secs);
+            // Only the chunk-result tier carries live-edge-tagged entries;
+            // aggregate states cover exclusively closed chunks, which this
+            // append cannot change, so the second tier needs no invalidation
+            // here.
+            shard.cache.invalidate_live_edge(camera);
+            let next = Arc::new(CameraState {
+                // O(1): the snapshot shares every page with the recording.
+                scene: recording.scene().clone(),
+                policy: base.policy,
+                masks: Arc::clone(&base.masks),
+                ledger: Arc::clone(&base.ledger),
+                generation: base.generation,
+                recording: Some(Arc::clone(ingest)),
+            });
+            cameras.insert(camera.to_string(), next);
+            Ok(Some(edge_secs))
+        })
     }
 
     /// The recorded duration of a camera, in seconds — for a live camera,
@@ -797,7 +874,7 @@ impl QueryService {
         cameras.dedup();
         for cam in &cameras {
             let state = self.camera(cam).ok_or_else(|| PrividError::UnknownCamera(cam.clone()))?;
-            if !state.live {
+            if !state.live() {
                 return Err(PrividError::Invalid(format!(
                     "standing queries require live cameras; {cam} is a fixed recording"
                 )));
@@ -811,12 +888,12 @@ impl QueryService {
             // journal predates tenant ownership — first re-registration
             // reclaims it). Trusted in-process callers (`tenant == None`)
             // bypass the gate but never *take* ownership from a tenant.
-            if let (Some(t), Some(existing)) = (tenant, standing.get(&name)) {
+            if let (Some(t), Some(existing)) = (tenant, standing.queries.get(&name)) {
                 if existing.owner.as_deref().is_some_and(|o| o != t) {
                     return Err(PrividError::StandingQueryDenied { name, tenant: t.to_string() });
                 }
             }
-            match standing.get_mut(&name) {
+            match standing.queries.get_mut(&name) {
                 Some(existing) if existing.text == text && existing.base_seed == base_seed => {
                     // Idempotent re-registration: keep the firing watermark.
                     // A tenant re-registering an unowned (recovered) query
@@ -842,9 +919,9 @@ impl QueryService {
                     standing.insert(
                         name,
                         StandingState {
-                            query,
+                            query: Arc::new(query),
                             text: text.to_string(),
-                            cameras,
+                            cameras: cameras.clone(),
                             period_secs,
                             base_seed,
                             next_start_secs: 0.0,
@@ -856,7 +933,10 @@ impl QueryService {
                 }
             }
         }
-        Ok(self.pump_standing_queries())
+        // Catch-up: windows the registration's own cameras had already
+        // completed fire now.
+        let cameras: Vec<&str> = cameras.iter().map(String::as_str).collect();
+        Ok(self.pump_standing_queries(&cameras))
     }
 
     /// The retained firings of a standing query, in window order.
@@ -867,7 +947,7 @@ impl QueryService {
     /// the firings past a cursor and reports anything evicted before it could
     /// be observed.
     pub fn standing_results(&self, name: &str) -> Option<Vec<StandingFiring>> {
-        self.standing.lock().expect("standing registry poisoned").get(name).map(|s| { // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+        self.standing.lock().expect("standing registry poisoned").queries.get(name).map(|s| { // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
             // Firings are recorded in watermark order, which is window order.
             s.firings.iter().cloned().collect()
         })
@@ -902,7 +982,7 @@ impl QueryService {
     }
 
     fn poll_standing_scoped(&self, tenant: Option<&str>, name: &str, cursor: u64) -> Option<StandingPoll> {
-        self.standing.lock().expect("standing registry poisoned").get(name).filter(|s| { // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+        self.standing.lock().expect("standing registry poisoned").queries.get(name).filter(|s| { // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
             match tenant {
                 // Trusted in-process callers see everything.
                 None => true,
@@ -924,18 +1004,29 @@ impl QueryService {
         })
     }
 
-    /// Fire every standing query whose next window is now fully recorded.
+    /// Fire every standing query of `cameras` whose next window is now fully
+    /// recorded — `cameras` being the ones whose edge just moved (the
+    /// appended camera) or whose completed windows may never have been
+    /// looked at (a registration's own cameras). Queries that read none of
+    /// them cannot have become due and are not visited, so an append costs
+    /// the standing queries of its camera, not of the fleet.
     ///
     /// Due windows are claimed (and the per-query high-watermark advanced)
     /// under the standing-registry lock, so two appends racing each other can
     /// never double-fire a window; the queries themselves execute *outside*
-    /// the lock through the ordinary [`QueryService::execute`] path.
-    fn pump_standing_queries(&self) -> usize {
+    /// the lock, sharing the prototype (`Arc`) and — through one
+    /// [`session::TailMemo`] for the whole call — the execution of every
+    /// newly closed chunk that several of them read.
+    fn pump_standing_queries(&self, cameras: &[&str]) -> usize {
         let mut jobs: Vec<StandingJob> = Vec::new();
-        let mut prefolds: Vec<ParsedQuery> = Vec::new();
+        let mut prefolds: Vec<(Arc<ParsedQuery>, Seconds)> = Vec::new();
         {
             let mut standing = self.standing.lock().expect("standing registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-            for (name, st) in standing.iter_mut() {
+            let StandingRegistry { queries, by_camera } = &mut *standing;
+            // A query on several of `cameras` is visited once.
+            let due: BTreeSet<&String> = cameras.iter().filter_map(|c| by_camera.get(*c)).flatten().collect();
+            for name in due {
+                let Some(st) = queries.get_mut(name) else { continue };
                 // The firing frontier is the slowest referenced camera's edge.
                 let edge = st
                     .cameras
@@ -955,17 +1046,13 @@ impl QueryService {
                     // post-restart window by ULPs and break bit-for-bit
                     // resumption.
                     let next_start = (index + 1) as f64 * st.period_secs;
-                    let mut query = st.query.clone();
-                    for s in &mut query.splits {
-                        s.begin_secs += start;
-                        s.end_secs += start;
-                    }
                     jobs.push(StandingJob {
                         name: name.clone(),
                         window: TimeSpan::between_secs(start, next_start),
                         index,
                         seed: st.base_seed.wrapping_add(index),
-                        query,
+                        query: Arc::clone(&st.query),
+                        offset_secs: start,
                         owner: st.owner.clone(),
                     });
                     st.next_start_secs = next_start;
@@ -976,29 +1063,26 @@ impl QueryService {
                 // runs the final stretch. Collected under the lock, executed
                 // outside it (it runs the sandbox).
                 if edge > st.next_start_secs {
-                    let mut query = st.query.clone();
-                    for s in &mut query.splits {
-                        s.begin_secs += st.next_start_secs;
-                        s.end_secs += st.next_start_secs;
-                    }
-                    prefolds.push(query);
+                    prefolds.push((Arc::clone(&st.query), st.next_start_secs));
                 }
             }
         }
-        let fired = jobs.len();
+        let mut memo = session::TailMemo::default();
+        let mut commits = Vec::new();
+        let mut fired: Vec<(String, StandingFiring)> = Vec::with_capacity(jobs.len());
         for job in jobs {
             // A tenant-owned firing is metered exactly like an `execute_as`
             // submission: reserve the owner's quota first (an over-quota
             // window becomes a quota-refusal firing and executes nothing —
             // no camera ledger is touched), refund on execution failure.
             let result = match job.owner.as_deref() {
-                None => self.execute_standing_query(job.seed, &job.query),
+                None => self.execute_standing_query(&job, &mut memo),
                 Some(tenant) => {
                     let requested = self.query_epsilon_demand(&job.query);
                     match self.reserve_tenant_quota(tenant, requested) {
                         Err(refused) => Err(refused),
                         Ok(()) => {
-                            let result = self.execute_standing_query(job.seed, &job.query);
+                            let result = self.execute_standing_query(&job, &mut memo);
                             if result.is_err() {
                                 self.refund_tenant_quota(tenant, requested);
                             }
@@ -1008,26 +1092,41 @@ impl QueryService {
                 }
             };
             // Journal the advanced watermark *after* the firing (whose own
-            // debits the execute path journaled). Best-effort on purpose: a
+            // debits the execute path journaled). The record is only staged
+            // here: it rides the commit of whichever `Admit` comes next
+            // (the group-commit leader flushes everything staged), and the
+            // tickets are redeemed once, below. Best-effort on purpose: a
             // lost record can only make recovery re-fire this window — a
             // duplicate release (identical, by seed determinism) and a
             // conservative double debit, never an under-debit.
             if let Some(store) = &self.shard_of(&job.name).store {
-                let _ = store.append(Record::StandingFired { name: job.name.clone(), window_index: job.index });
+                if let Ok(ticket) = store.stage(Record::StandingFired { name: job.name.clone(), window_index: job.index }) {
+                    commits.push((store, ticket));
+                }
             }
+            fired.push((job.name, StandingFiring { window: job.window, seed: job.seed, result }));
+        }
+        // Watermarks durable (as far as they will be) → firings visible.
+        for (store, ticket) in commits {
+            let _ = store.wait_commit(ticket);
+        }
+        let count = fired.len();
+        if count > 0 {
             let mut standing = self.standing.lock().expect("standing registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-            if let Some(st) = standing.get_mut(&job.name) {
-                st.firings.push_back(StandingFiring { window: job.window, seed: job.seed, result });
-                st.fired_count += 1;
-                while st.firings.len() > self.standing_retention {
-                    st.firings.pop_front();
+            for (name, firing) in fired {
+                if let Some(st) = standing.queries.get_mut(&name) {
+                    st.firings.push_back(firing);
+                    st.fired_count += 1;
+                    while st.firings.len() > self.standing_retention {
+                        st.firings.pop_front();
+                    }
                 }
             }
         }
-        for query in prefolds {
-            session::prefold_standing(self, &query);
+        for (query, offset_secs) in prefolds {
+            session::prefold_standing(self, &query, offset_secs, &mut memo);
         }
-        fired
+        count
     }
 
     /// Execute one standing-query firing: the incremental fold path when it
@@ -1035,12 +1134,11 @@ impl QueryService {
     /// [`QueryService::execute`] pipeline. Both paths draw from a fresh
     /// mechanism seeded the same way and release bit-identical values, so
     /// which one served a firing is observable only in latency.
-    fn execute_standing_query(&self, seed: u64, query: &ParsedQuery) -> Result<QueryResult, PrividError> {
-        let mut mechanism = LaplaceMechanism::new(seed);
-        match session::execute_standing(self, query, &mut mechanism) {
-            Ok(Some(result)) => Ok(result),
-            Ok(None) => self.execute(seed, query),
-            Err(e) => Err(e),
+    fn execute_standing_query(&self, job: &StandingJob, memo: &mut session::TailMemo) -> Result<QueryResult, PrividError> {
+        let mut mechanism = LaplaceMechanism::new(job.seed);
+        match session::execute_standing(self, &job.query, job.offset_secs, &mut mechanism, memo)? {
+            Some(result) => Ok(result),
+            None => session::execute_query(self, &job.query, job.offset_secs, &mut LaplaceMechanism::new(job.seed)),
         }
     }
 
@@ -1323,7 +1421,7 @@ impl QueryService {
     /// seed can regenerate every Laplace sample offline and subtract the
     /// noise, voiding the DP guarantee.
     pub fn execute(&self, seed: u64, query: &ParsedQuery) -> Result<QueryResult, PrividError> {
-        session::execute_query(self, query, &mut LaplaceMechanism::new(seed))
+        session::execute_query(self, query, 0.0, &mut LaplaceMechanism::new(seed))
     }
 
     // ---- tenant quotas ------------------------------------------------------------------
@@ -1755,7 +1853,7 @@ impl QueryServiceBuilder {
         // text, seed and firing watermark. They stay dormant until the owner
         // re-registers their live cameras and re-feeds footage past the
         // watermark (the pump skips queries whose cameras are missing).
-        let mut standing = HashMap::new();
+        let mut standing = StandingRegistry::default();
         for (name, st) in &standing_records {
             let query = parse_query(&st.text).map_err(|e| {
                 PrividError::Store(StoreError::InvalidRecord {
@@ -1769,7 +1867,7 @@ impl QueryServiceBuilder {
             standing.insert(
                 name.clone(),
                 StandingState {
-                    query,
+                    query: Arc::new(query),
                     text: st.text.clone(),
                     cameras,
                     period_secs: st.period_secs,
@@ -2138,7 +2236,7 @@ mod tests {
             cursor = p.next_cursor;
         }
         let standing = svc.standing.lock().unwrap();
-        assert_eq!(standing.get("per_min").unwrap().firings.len(), 2, "polling never grows retained state");
+        assert_eq!(standing.queries.get("per_min").unwrap().firings.len(), 2, "polling never grows retained state");
     }
 
     #[test]

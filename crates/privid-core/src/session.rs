@@ -18,10 +18,27 @@
 //! chunk of the window is fully recorded, the session executes only the
 //! chunks past the longest cached prefix and extends the folded states —
 //! per-firing work proportional to the *new* footage, not the window.
+//!
+//! **Standing queries run as (prototype, offset).** A standing query's
+//! prototype covers `[0, period)`; window `k` is the same statements shifted
+//! by `k × period`. The session entry points take that shift as
+//! `offset_secs` and add it while resolving SPLITs, so the pump shares one
+//! `Arc<ParsedQuery>` per standing query instead of cloning and rewriting it
+//! per window (one-shot queries pass 0).
+//!
+//! **The per-call tail memo.** One append typically makes several standing
+//! queries of a camera run the *same* newly closed chunks: COUNT and SUM
+//! siblings over one window fire (or pre-fold) together. Within one pump
+//! call, [`TailMemo`] hands every firing and pre-fold with the same
+//! [`ProcessIdentity`] and chunk range the tail table the first of them
+//! executed, so each newly closed chunk runs once per distinct window, not
+//! once per query. The memo dies with the call — closed chunks are final, so
+//! sharing them is sound, but anything longer-lived is tier 1's and tier 2's
+//! job.
 
-use crate::aggcache::AggCacheKey;
+use crate::aggcache::{AggCacheKey, AggStateCache};
 use crate::budget::{AdmissionFailure, BudgetError};
-use crate::cache::ChunkCacheKey;
+use crate::cache::{ChunkCacheKey, ProcessIdentity};
 use crate::error::PrividError;
 use crate::mechanism::LaplaceMechanism;
 use crate::parallel::{execute_plan, execute_plan_range};
@@ -35,6 +52,7 @@ use privid_query::{
 use privid_sandbox::{ProcessorFactory, SandboxSpec};
 use privid_video::{ChunkPlan, ChunkSpec, Mask, RegionBoundary, RegionScheme, Seconds, TimeSpan, Timestamp};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A SPLIT statement resolved against the registered cameras.
@@ -61,21 +79,13 @@ struct PreparedSplit {
 }
 
 /// Everything the aggregate-cache tier needs to know about one PROCESS
-/// output: the full execution identity (what [`ChunkCacheKey`] carries,
-/// minus the live-edge tag — folded states cover only *closed* chunks, which
-/// appends never mutate) plus where the window's closed prefix ends.
+/// output: its execution identity (what [`ChunkCacheKey`] carries, minus the
+/// live-edge tag — folded states cover only *closed* chunks, which appends
+/// never mutate) plus where the window's closed prefix ends.
 pub(crate) struct TableMeta {
-    camera: String,
-    camera_generation: u64,
+    process: Arc<ProcessIdentity>,
     window: TimeSpan,
     spec: ChunkSpec,
-    mask: Option<(String, u64)>,
-    region_scheme: Option<String>,
-    processor: String,
-    processor_generation: u64,
-    timeout_secs: Seconds,
-    max_rows: usize,
-    schema_repr: String,
     /// `Some(edge)` for live cameras: chunks ending at or before the edge are
     /// final; later chunks may still grow. `None` (batch camera) = all final.
     closed_edge: Option<Timestamp>,
@@ -85,39 +95,38 @@ pub(crate) struct TableMeta {
     cacheable: bool,
 }
 
+/// The identity of PROCESS `p` over `split`, built (and its schema
+/// formatted) once per statement; every cache key of the statement shares it.
+fn process_identity(split: &PreparedSplit, p: &ProcessStatement, processor_generation: u64) -> Arc<ProcessIdentity> {
+    ProcessIdentity::new(
+        (&split.camera, split.state.generation),
+        &split.window,
+        &split.spec,
+        split.mask_id.as_ref().map(|(id, generation)| (id.as_str(), *generation)),
+        split.region_scheme_id.as_deref(),
+        (&p.executable, processor_generation),
+        p.timeout_secs,
+        p.max_rows,
+        format!("{:?}", p.schema),
+    )
+}
+
 impl TableMeta {
-    fn new(split: &PreparedSplit, p: &ProcessStatement, processor_generation: u64, cacheable: bool) -> TableMeta {
+    fn new(split: &PreparedSplit, process: Arc<ProcessIdentity>, cacheable: bool) -> TableMeta {
         TableMeta {
-            camera: split.camera.clone(),
-            camera_generation: split.state.generation,
+            process,
             window: split.window,
             spec: split.spec,
-            mask: split.mask_id.clone(),
-            region_scheme: split.region_scheme_id.clone(),
-            processor: p.executable.clone(),
-            processor_generation,
-            timeout_secs: p.timeout_secs,
-            max_rows: p.max_rows,
-            schema_repr: format!("{:?}", p.schema),
-            closed_edge: if split.state.live { Some(split.state.scene.span.end) } else { None },
+            closed_edge: split.state.live().then_some(split.state.scene.span.end),
             cacheable,
         }
     }
 
-    fn agg_key(&self, plan_fingerprint: &str, prefix_chunks: u32) -> AggCacheKey {
-        AggCacheKey::new(
-            (&self.camera, self.camera_generation),
-            (self.window.start.as_micros(), self.window.end.as_micros()),
-            (self.spec.chunk_secs.to_bits(), self.spec.stride_secs.to_bits()),
-            self.mask.as_ref().map(|(id, generation)| (id.as_str(), *generation)),
-            self.region_scheme.as_deref(),
-            (&self.processor, self.processor_generation),
-            self.timeout_secs.to_bits(),
-            self.max_rows,
-            &self.schema_repr,
-            plan_fingerprint,
-            prefix_chunks,
-        )
+    /// The tier-2 key of this table's first `prefix_chunks` chunks folded by
+    /// the plan with this fingerprint — built once per (table, plan); the
+    /// walk-back derives the shorter prefixes from it.
+    fn agg_key(&self, plan_fingerprint: &str, prefix_chunks: usize) -> AggCacheKey {
+        AggCacheKey::new(Arc::clone(&self.process), plan_fingerprint, prefix_chunks as u32)
     }
 
     /// How many leading chunks of the window are fully recorded. Computed in
@@ -136,15 +145,17 @@ impl TableMeta {
 /// Execute one query against the service's registries, drawing noise from
 /// `mechanism`. This is the split → process → admit → aggregate → noise
 /// pipeline of Algorithm 1 behind [`crate::QueryService::execute`], which
-/// seeds one fresh mechanism per query.
+/// seeds one fresh mechanism per query. `offset_secs` shifts every SPLIT
+/// window (a standing query's prototype at its firing window; 0 otherwise).
 pub(crate) fn execute_query(
     service: &QueryService,
     query: &ParsedQuery,
+    offset_secs: Seconds,
     mechanism: &mut LaplaceMechanism,
 ) -> Result<QueryResult, PrividError> {
     let default_epsilon = service.default_epsilon;
     // ---- 1. Resolve SPLIT statements -------------------------------------------------
-    let splits = prepare_all_splits(service, query)?;
+    let splits = prepare_all_splits(service, query, offset_secs)?;
 
     // ---- 2. Run PROCESS statements through the sandbox (or the cache) ----------------
     let mut tables: HashMap<String, Arc<Table>> = HashMap::new();
@@ -201,6 +212,7 @@ pub(crate) fn execute_query(
 fn prepare_all_splits(
     service: &QueryService,
     query: &ParsedQuery,
+    offset_secs: Seconds,
 ) -> Result<HashMap<String, PreparedSplit>, PrividError> {
     let mut resolved: HashMap<String, Arc<CameraState>> = HashMap::new();
     let mut splits: HashMap<String, PreparedSplit> = HashMap::new();
@@ -218,7 +230,7 @@ fn prepare_all_splits(
                 state
             }
         };
-        splits.insert(s.output.clone(), prepare_split(s, state)?);
+        splits.insert(s.output.clone(), prepare_split(s, offset_secs, state)?);
     }
     Ok(splits)
 }
@@ -328,9 +340,10 @@ fn registrations_current(
     }
 }
 
-fn prepare_split(s: &SplitStatement, state: Arc<CameraState>) -> Result<PreparedSplit, PrividError> {
+fn prepare_split(s: &SplitStatement, offset_secs: Seconds, state: Arc<CameraState>) -> Result<PreparedSplit, PrividError> {
     let spec = ChunkSpec::new(s.chunk_secs, s.stride_secs).map_err(PrividError::Invalid)?;
-    let window = TimeSpan::between_secs(s.begin_secs, s.end_secs);
+    let (begin_secs, end_secs) = (s.begin_secs + offset_secs, s.end_secs + offset_secs);
+    let window = TimeSpan::between_secs(begin_secs, end_secs);
     // Reject windows with no footage *before* the PROCESS stage: running the
     // sandbox over an empty plan and failing only at admission would waste
     // the whole processing cost (and the old ledger silently clamped such
@@ -341,11 +354,12 @@ fn prepare_split(s: &SplitStatement, state: Arc<CameraState>) -> Result<Prepared
     // ledger, but this session would still serve the pre-append scene — it
     // must fail retryably rather than release empty footage as if recorded.
     let snapshot_edge = state.scene.span.end;
-    if state.live && window.start.max(Timestamp::ZERO) >= snapshot_edge {
+    let live = state.live();
+    if live && window.start.max(Timestamp::ZERO) >= snapshot_edge {
         return Err(PrividError::BeyondLiveEdge {
             camera: s.camera.clone(),
-            start_secs: s.begin_secs,
-            end_secs: s.end_secs,
+            start_secs: begin_secs,
+            end_secs,
             live_edge_secs: snapshot_edge.as_secs(),
         });
     }
@@ -358,7 +372,7 @@ fn prepare_split(s: &SplitStatement, state: Arc<CameraState>) -> Result<Prepared
         }
         _ => {}
     }
-    let live_edge_micros = (state.live && window.end > snapshot_edge).then(|| snapshot_edge.as_micros());
+    let live_edge_micros = (live && window.end > snapshot_edge).then(|| snapshot_edge.as_micros());
     // Admission must not debit past the footage this session actually serves:
     // the ledger is shared across append snapshots and may already cover more
     // timeline than this snapshot's scene (an append raced the query), but
@@ -366,7 +380,7 @@ fn prepare_split(s: &SplitStatement, state: Arc<CameraState>) -> Result<Prepared
     // the snapshot edge keeps the debit and the release congruent; the
     // requested window still drives chunk geometry and sensitivities.
     let admit_window =
-        if state.live && window.end > snapshot_edge { TimeSpan::new(window.start, snapshot_edge) } else { window };
+        if live && window.end > snapshot_edge { TimeSpan::new(window.start, snapshot_edge) } else { window };
     // Lock-order audit: `mask-registry` is taken here with nothing held
     // above it — `state` is a cloned Arc<CameraState>, not a registry guard.
     // The one nested acquisition (under `camera-registry`) lives in
@@ -433,22 +447,9 @@ fn run_process(
     // across queries (noise is applied at release time; see `cache` docs).
     // Registration generations in the key stop a session racing a
     // re-registration from repopulating the cache with outdated outputs.
-    // When caching is disabled the key (several String allocations) and the
-    // cache lock are skipped entirely.
-    let key = cache.enabled().then(|| {
-        ChunkCacheKey::new(
-            (&split.camera, split.state.generation),
-            &split.window,
-            &split.spec,
-            split.mask_id.as_ref().map(|(id, generation)| (id.as_str(), *generation)),
-            split.region_scheme_id.as_deref(),
-            (&p.executable, processor_generation),
-            p.timeout_secs,
-            p.max_rows,
-            format!("{:?}", p.schema),
-            split.live_edge_micros,
-        )
-    });
+    // When caching is disabled the cache lock is skipped entirely.
+    let process = process_identity(split, p, processor_generation);
+    let key = cache.enabled().then(|| ChunkCacheKey::new(Arc::clone(&process), split.live_edge_micros));
     // `chunks_processed` counts the chunk executions the query *required*,
     // whether they ran in the sandbox or were served from the cache — keeping
     // QueryResult a deterministic function of (seed, query).
@@ -495,7 +496,7 @@ fn run_process(
     };
     let regions = split.region_scheme.as_ref().map(|s| s.len()).unwrap_or(1).max(1);
     let profile = table_profile(split, p, regions);
-    let meta = TableMeta::new(split, p, processor_generation, cacheable);
+    let meta = TableMeta::new(split, process, cacheable);
     Ok((table, executions, profile, meta))
 }
 
@@ -562,6 +563,29 @@ fn release_select(
     apply_noise(raw, sensitivities, select_epsilon, mechanism)
 }
 
+/// The longest cached prefix of `fold` over the first `target` chunks of
+/// `key`'s table: how many chunks it covers, and its states (none and the
+/// identity when nothing is cached). With `counted`, the probe at `target`
+/// itself is a lookup event — the cache's hit rate is the shared-sub-plan
+/// rate of the serving path; the walk back to a shorter prefix, and every
+/// probe of a warm-up, is silent.
+fn longest_cached_prefix(
+    agg: &AggStateCache,
+    key: &AggCacheKey,
+    fold: &FoldableSelect,
+    target: usize,
+    counted: bool,
+) -> (usize, Vec<AggState>) {
+    for prefix in (1..=target).rev() {
+        let key = key.with_prefix(prefix as u32);
+        let hit = if counted && prefix == target { agg.get(&key) } else { agg.peek(&key) };
+        if let Some(hit) = hit {
+            return (prefix, hit.as_ref().clone());
+        }
+    }
+    (0, fold.identity())
+}
+
 /// Release an aggregate-only SELECT by folding per-chunk [`AggState`]s over
 /// the columnar table, reusing (and extending) a cached chunk-prefix state
 /// when one exists. Returns `None` when the plan is not foldable (JOIN,
@@ -587,38 +611,24 @@ fn fold_release(
     let meta = metas.get(&base_tables[0])?;
     // Aggregate states live in the camera's shard: invalidation on camera
     // re-registration then only ever walks that shard's tier.
-    let agg = service.agg_cache_for(&meta.camera);
+    let agg = service.agg_cache_for(meta.process.camera());
     let plan = FoldableSelect::compile(stmt, &table.schema)?;
     let chunks = table.chunk_rows();
     let n = chunks.len();
     let closed = meta.closed_chunks().min(n);
-    let use_cache = agg.enabled() && meta.cacheable && closed > 0;
-    let mut states = plan.identity();
-    let mut covered = 0usize;
-    if use_cache {
-        // One counting probe at the target prefix (the cache's hit rate is
-        // the shared-sub-plan rate), then a silent walk-back for the longest
-        // shorter prefix to extend.
-        if let Some(hit) = agg.get(&meta.agg_key(plan.fingerprint(), closed as u32)) {
-            states = hit.as_ref().clone();
-            covered = closed;
-        } else {
-            for prefix in (1..closed).rev() {
-                if let Some(hit) = agg.peek(&meta.agg_key(plan.fingerprint(), prefix as u32)) {
-                    states = hit.as_ref().clone();
-                    covered = prefix;
-                    break;
-                }
-            }
-        }
-    }
+    // The key of the target prefix; shorter prefixes derive from it.
+    let key = (agg.enabled() && meta.cacheable && closed > 0).then(|| meta.agg_key(plan.fingerprint(), closed));
+    let (covered, mut states) = match &key {
+        Some(key) => longest_cached_prefix(agg, key, &plan, closed, true),
+        None => (0, plan.identity()),
+    };
     if covered < closed {
         // privid-analyzer: allow(panic-freedom) -- `covered < closed <= n == chunks.len()`, so both indices are in bounds
         plan.fold_range(table, chunks[covered].start..chunks[closed - 1].end, &mut states);
-        if use_cache {
+        if let Some(key) = key {
             // First insert wins on a race; both values are bit-identical by
             // the determinism contract, so it doesn't matter which.
-            agg.insert(meta.agg_key(plan.fingerprint(), closed as u32), Arc::new(states.clone()));
+            agg.insert(key, Arc::new(states.clone()));
         }
     }
     if closed < n {
@@ -670,18 +680,57 @@ fn apply_noise(
 // -------------------------------------------------------------------------------------
 // Incremental standing-query execution.
 
+/// The tail tables one standing pump call has executed so far, by PROCESS
+/// identity (which carries the window) and chunk range — see the module docs.
+#[derive(Default)]
+pub(crate) struct TailMemo {
+    tails: HashMap<(Arc<ProcessIdentity>, Range<usize>), Arc<Table>>,
+}
+
 /// One PROCESS statement planned (but not executed) for the incremental path.
 struct StandingProcess<'q> {
     p: &'q ProcessStatement,
     split: &'q PreparedSplit,
     factory: Arc<dyn ProcessorFactory + Send + Sync>,
     meta: TableMeta,
-    n_chunks: usize,
+}
+
+impl StandingProcess<'_> {
+    /// The table of chunks `range` — all of them closed — of this PROCESS:
+    /// the one an earlier firing or pre-fold of the same pump call executed
+    /// for the same identity and range, or else a fresh sandbox run.
+    /// `execute_plan_range` keeps full-plan chunk indices, so the tail is
+    /// bit-identical to the same rows of a full execution.
+    fn tail(&self, service: &QueryService, memo: &mut TailMemo, range: Range<usize>) -> Arc<Table> {
+        let key = (Arc::clone(&self.meta.process), range.clone());
+        if let Some(tail) = memo.tails.get(&key) {
+            return Arc::clone(tail);
+        }
+        let StandingProcess { p, split, factory, .. } = self;
+        let plan = ChunkPlan::new(&split.state.scene, &split.window, &split.spec, split.mask.as_ref());
+        let sandbox_spec = SandboxSpec::new(p.timeout_secs, p.max_rows, p.schema.clone());
+        let outputs = execute_plan_range(
+            &plan,
+            range,
+            split.region_scheme.as_ref(),
+            &**factory,
+            &sandbox_spec,
+            service.parallelism,
+        );
+        let mut tail = Table::new(p.schema.clone());
+        for (region, out) in outputs {
+            tail.append_chunk_rows(out.chunk_start_secs, region, out.rows, p.max_rows);
+        }
+        let tail = Arc::new(tail);
+        memo.tails.insert(key, Arc::clone(&tail));
+        tail
+    }
 }
 
 /// Execute a standing-query firing incrementally: identical releases to
 /// [`execute_query`], but only the chunks past the longest cached fold prefix
-/// run in the sandbox.
+/// run in the sandbox — and not even those when an earlier firing of the same
+/// pump call (`memo`) already ran them.
 ///
 /// Returns `Ok(None)` — *strictly before admission, so no budget is touched
 /// and no noise is drawn* — when the firing can't take the incremental path:
@@ -694,19 +743,21 @@ struct StandingProcess<'q> {
 pub(crate) fn execute_standing(
     service: &QueryService,
     query: &ParsedQuery,
+    offset_secs: Seconds,
     mechanism: &mut LaplaceMechanism,
+    memo: &mut TailMemo,
 ) -> Result<Option<QueryResult>, PrividError> {
     if !service.agg_cache_enabled() {
         return Ok(None);
     }
     let default_epsilon = service.default_epsilon;
     // ---- 1. Resolve SPLIT statements (identical to the reference path) --------------
-    let splits = prepare_all_splits(service, query)?;
+    let splits = prepare_all_splits(service, query, offset_secs)?;
 
     // ---- 2. Plan PROCESS statements without executing any chunk ----------------------
     let mut ctx = SensitivityContext::new();
     let mut table_windows: HashMap<String, (String, TimeSpan)> = HashMap::new();
-    let mut processes: Vec<(String, StandingProcess<'_>)> = Vec::new();
+    let mut processes: Vec<(String, usize, StandingProcess<'_>)> = Vec::new();
     let mut chunks_processed = 0usize;
     for p in &query.processes {
         let split = splits.get(&p.input).ok_or_else(|| {
@@ -715,7 +766,7 @@ pub(crate) fn execute_standing(
         let (processor_generation, factory) =
             service.processor(&p.executable).ok_or_else(|| PrividError::UnknownProcessor(p.executable.clone()))?;
         let cacheable = registrations_current(service, split, &p.executable, processor_generation);
-        let meta = TableMeta::new(split, p, processor_generation, cacheable);
+        let meta = TableMeta::new(split, process_identity(split, p, processor_generation), cacheable);
         let n_chunks = meta.spec.chunk_spans(&meta.window).len();
         // The incremental path serves only fully recorded windows: a chunk
         // that can still grow would need re-execution at the next firing
@@ -729,7 +780,7 @@ pub(crate) fn execute_standing(
         chunks_processed += n_chunks * regions;
         ctx.register(p.output.clone(), table_profile(split, p, regions));
         table_windows.insert(p.output.clone(), (split.camera.clone(), split.window));
-        processes.push((p.output.clone(), StandingProcess { p, split, factory, meta, n_chunks }));
+        processes.push((p.output.clone(), n_chunks, StandingProcess { p, split, factory, meta }));
     }
 
     // ---- 3. Plan every SELECT, pre-admission (identical to the reference path) -------
@@ -748,8 +799,8 @@ pub(crate) fn execute_standing(
         let Some(fold) = processes
             .iter()
             // privid-analyzer: allow(panic-freedom) -- `base_tables.len() == 1` was checked above, so index 0 exists
-            .find(|(name, _)| *name == base_tables[0])
-            .and_then(|(_, sp)| FoldableSelect::compile(stmt, &sp.p.schema))
+            .find(|(name, ..)| *name == base_tables[0])
+            .and_then(|(_, _, sp)| FoldableSelect::compile(stmt, &sp.p.schema))
         else {
             return Ok(None);
         };
@@ -761,72 +812,41 @@ pub(crate) fn execute_standing(
 
     // ---- 5. Fold: extend the longest cached prefix per SELECT ------------------------
     let mut select_states: Vec<Option<Vec<AggState>>> = planned.iter().map(|_| None).collect();
-    for (name, sp) in &processes {
-        let on_table: Vec<usize> =
-            planned.iter().enumerate().filter(|(_, (t, ..))| t == name).map(|(i, _)| i).collect();
-        if on_table.is_empty() {
-            continue;
-        }
-        let agg = service.agg_cache_for(&sp.meta.camera);
-        let n = sp.n_chunks;
-        // Longest cached prefix per SELECT: one counting probe at the full
-        // prefix, then a silent walk-back.
-        let mut folds: Vec<(usize, usize, Vec<AggState>)> = Vec::with_capacity(on_table.len());
-        for &i in &on_table {
-            // privid-analyzer: allow(panic-freedom) -- `on_table` holds indices enumerate() produced over `planned`
-            let fold = &planned[i].3;
-            let mut covered = 0usize;
-            let mut states = fold.identity();
-            if sp.meta.cacheable {
-                if let Some(hit) = agg.get(&sp.meta.agg_key(fold.fingerprint(), n as u32)) {
-                    states = hit.as_ref().clone();
-                    covered = n;
-                } else {
-                    for prefix in (1..n).rev() {
-                        if let Some(hit) = agg.peek(&sp.meta.agg_key(fold.fingerprint(), prefix as u32)) {
-                            states = hit.as_ref().clone();
-                            covered = prefix;
-                            break;
-                        }
-                    }
-                }
+    for (name, n, sp) in &processes {
+        let n = *n;
+        let agg = service.agg_cache_for(sp.meta.process.camera());
+        // Longest cached prefix per SELECT on this table: one counting probe
+        // at the full prefix, then a silent walk-back.
+        let mut folds: Vec<(usize, AggCacheKey, usize, Vec<AggState>)> = Vec::new();
+        for (i, (table, _, _, fold)) in planned.iter().enumerate() {
+            if table != name {
+                continue;
             }
-            folds.push((i, covered, states));
+            let key = sp.meta.agg_key(fold.fingerprint(), n);
+            let (covered, states) =
+                if sp.meta.cacheable { longest_cached_prefix(agg, &key, fold, n, true) } else { (0, fold.identity()) };
+            folds.push((i, key, covered, states));
         }
         // Execute only the chunks past the *shortest* covered prefix, once,
-        // shared by every SELECT on this table. `execute_plan_range` keeps
-        // full-plan chunk indices, so the tail is bit-identical to the same
-        // rows of a full execution.
-        let need_from = folds.iter().map(|(_, covered, _)| *covered).min().unwrap_or(n);
+        // shared by every SELECT on this table (and, through the memo, by
+        // every sibling query of this pump call).
+        let need_from = folds.iter().map(|(_, _, covered, _)| *covered).min().unwrap_or(n);
         if need_from < n {
-            let plan = ChunkPlan::new(&sp.split.state.scene, &sp.split.window, &sp.split.spec, sp.split.mask.as_ref());
-            let sandbox_spec = SandboxSpec::new(sp.p.timeout_secs, sp.p.max_rows, sp.p.schema.clone());
-            let outputs = execute_plan_range(
-                &plan,
-                need_from..n,
-                sp.split.region_scheme.as_ref(),
-                &*sp.factory,
-                &sandbox_spec,
-                service.parallelism,
-            );
-            let mut tail = Table::new(sp.p.schema.clone());
-            for (region, out) in outputs {
-                tail.append_chunk_rows(out.chunk_start_secs, region, out.rows, sp.p.max_rows);
-            }
+            let tail = sp.tail(service, memo, need_from..n);
             let tail_chunks = tail.chunk_rows();
-            for (i, covered, states) in &mut folds {
+            for (i, key, covered, states) in &mut folds {
                 if *covered < n {
                     // privid-analyzer: allow(panic-freedom) -- `i` came from enumerate() over `planned`
                     let fold = &planned[*i].3;
                     // privid-analyzer: allow(panic-freedom) -- `need_from <= covered < n` and the tail holds exactly `n - need_from` chunks (one run per executed chunk, empty runs included)
                     fold.fold_range(&tail, tail_chunks[*covered - need_from].start..tail.len(), states);
                     if sp.meta.cacheable {
-                        agg.insert(sp.meta.agg_key(fold.fingerprint(), n as u32), Arc::new(states.clone()));
+                        agg.insert(key.clone(), Arc::new(states.clone()));
                     }
                 }
             }
         }
-        for (i, _, states) in folds {
+        for (i, _, _, states) in folds {
             // privid-analyzer: allow(panic-freedom) -- `i` came from enumerate() over `planned`; `select_states` is planned-length
             select_states[i] = Some(states);
         }
@@ -853,11 +873,11 @@ pub(crate) fn execute_standing(
 /// Idempotent under racing appends: the walk-back probe finds the prefix a
 /// previous pump already folded, and a duplicate insert at the same prefix is
 /// a first-wins no-op on bit-identical states.
-pub(crate) fn prefold_standing(service: &QueryService, query: &ParsedQuery) {
+pub(crate) fn prefold_standing(service: &QueryService, query: &ParsedQuery, offset_secs: Seconds, memo: &mut TailMemo) {
     if !service.agg_cache_enabled() {
         return;
     }
-    let Ok(splits) = prepare_all_splits(service, query) else { return };
+    let Ok(splits) = prepare_all_splits(service, query, offset_secs) else { return };
     for p in &query.processes {
         let Some(split) = splits.get(&p.input) else { return };
         let agg = service.agg_cache_for(&split.camera);
@@ -865,7 +885,7 @@ pub(crate) fn prefold_standing(service: &QueryService, query: &ParsedQuery) {
         if !registrations_current(service, split, &p.executable, processor_generation) {
             continue;
         }
-        let meta = TableMeta::new(split, p, processor_generation, true);
+        let meta = TableMeta::new(split, process_identity(split, p, processor_generation), true);
         let n_chunks = meta.spec.chunk_spans(&meta.window).len();
         let closed = meta.closed_chunks().min(n_chunks);
         if closed == 0 {
@@ -881,45 +901,22 @@ pub(crate) fn prefold_standing(service: &QueryService, query: &ParsedQuery) {
             })
             .filter_map(|stmt| FoldableSelect::compile(stmt, &p.schema))
             .collect();
-        if folds.is_empty() {
-            continue;
-        }
         // Silent probes only: warm-up must not skew the serving-path hit rate.
-        let mut work: Vec<(usize, Vec<AggState>, &FoldableSelect)> = Vec::new();
+        let mut work: Vec<(AggCacheKey, usize, Vec<AggState>, &FoldableSelect)> = Vec::new();
         for fold in &folds {
-            let mut covered = 0usize;
-            let mut states = fold.identity();
-            for prefix in (1..=closed).rev() {
-                if let Some(hit) = agg.peek(&meta.agg_key(fold.fingerprint(), prefix as u32)) {
-                    states = hit.as_ref().clone();
-                    covered = prefix;
-                    break;
-                }
-            }
+            let key = meta.agg_key(fold.fingerprint(), closed);
+            let (covered, states) = longest_cached_prefix(agg, &key, fold, closed, false);
             if covered < closed {
-                work.push((covered, states, fold));
+                work.push((key, covered, states, fold));
             }
         }
-        let Some(need_from) = work.iter().map(|(covered, _, _)| *covered).min() else { continue };
-        let plan = ChunkPlan::new(&split.state.scene, &split.window, &split.spec, split.mask.as_ref());
-        let sandbox_spec = SandboxSpec::new(p.timeout_secs, p.max_rows, p.schema.clone());
-        let outputs = execute_plan_range(
-            &plan,
-            need_from..closed,
-            split.region_scheme.as_ref(),
-            &*factory,
-            &sandbox_spec,
-            service.parallelism,
-        );
-        let mut tail = Table::new(p.schema.clone());
-        for (region, out) in outputs {
-            tail.append_chunk_rows(out.chunk_start_secs, region, out.rows, p.max_rows);
-        }
+        let Some(need_from) = work.iter().map(|(_, covered, ..)| *covered).min() else { continue };
+        let tail = StandingProcess { p, split, factory, meta }.tail(service, memo, need_from..closed);
         let tail_chunks = tail.chunk_rows();
-        for (covered, mut states, fold) in work {
+        for (key, covered, mut states, fold) in work {
             // privid-analyzer: allow(panic-freedom) -- `need_from <= covered < closed` and the tail holds exactly `closed - need_from` chunks (one run per executed chunk, empty runs included)
             fold.fold_range(&tail, tail_chunks[covered - need_from].start..tail.len(), &mut states);
-            agg.insert(meta.agg_key(fold.fingerprint(), closed as u32), Arc::new(states));
+            agg.insert(key, Arc::new(states));
         }
     }
 }

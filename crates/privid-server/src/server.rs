@@ -51,8 +51,10 @@ const TICK: Duration = Duration::from_millis(25);
 
 /// Hard cap on a registered synthetic scene's duration (one week). Scene
 /// generation is O(duration); an unbounded request would let one owner call
-/// pin a core for minutes.
-const MAX_SCENE_SECS: f64 = 7.0 * 24.0 * 3600.0;
+/// pin a core for minutes. The same bound a live recording applies to one
+/// appended batch (there it is `Recording` that refuses, with a typed error
+/// `append_frames` turns into `Invalid`).
+const MAX_SCENE_SECS: f64 = privid_video::MAX_BATCH_SECS;
 
 /// Frame-payload cap for a connection that has not yet authenticated
 /// (PROTOCOL.md). A `Hello` is a short token string; until one succeeds the

@@ -324,6 +324,44 @@ fn live_cameras_standing_queries_and_cursor_polls_match_in_process() {
     server.shutdown();
 }
 
+#[test]
+fn hostile_batch_durations_are_refused_typed_and_change_nothing() {
+    // `AppendFrames { duration_secs: 1e300 }` used to saturate the µs cast,
+    // wrap the live edge and panic the handler (or, on a fresh camera, ask
+    // the ledger for 9.2e12 slots); `4e-7` rounded to 0 µs and was
+    // acknowledged with the edge unmoved.
+    let served = base_service();
+    let server = start_server(Arc::clone(&served));
+    let mut owner = PrividClient::connect(&server.addr().to_string(), "owner-secret").expect("owner connect");
+    owner.register_live_camera("live", 2.0, 100, 100, 20.0, 2, 10.0).expect("live registration");
+    let walker = |id, start_secs, end_secs| WalkerSpec { id, class: WalkerClass::Person, start_secs, end_secs };
+    let state = |owner: &mut PrividClient| {
+        let remaining = owner.remaining_budget("live", 30.0).expect("budget read").map(f64::to_bits);
+        (served.live_edge("live"), served.ledger_edge("live"), remaining)
+    };
+
+    // On the fresh camera, then again behind a recorded minute.
+    for recorded in [false, true] {
+        if recorded {
+            assert_eq!(owner.append_frames("live", 60.0, vec![walker(1, 5.0, 40.0)]).expect("append"), (60.0, 0));
+        }
+        let before = state(&mut owner);
+        for hostile in [1e300, f64::MAX, 8.0 * 24.0 * 3600.0, 4e-7, f64::MIN_POSITIVE] {
+            let refused = owner.append_frames("live", hostile, Vec::new()).expect_err("hostile duration");
+            assert_eq!(refused.remote_code(), Some(code::INVALID), "{hostile} s: {refused}");
+        }
+        // A trajectory reaching for the far future is refused the same way.
+        let refused = owner.append_frames("live", 60.0, vec![walker(9, 70.0, 1e300)]).expect_err("hostile walker");
+        assert_eq!(refused.remote_code(), Some(code::INVALID));
+        assert_eq!(state(&mut owner), before, "a refusal moves neither the edge nor the ledger");
+    }
+
+    // The connection (and the camera) are as usable as before.
+    assert_eq!(owner.append_frames("live", 60.0, vec![walker(2, 70.0, 110.0)]).expect("append"), (120.0, 0));
+    assert_eq!((served.live_edge("live"), served.ledger_edge("live")), (Some(120.0), Some(120.0)));
+    server.shutdown();
+}
+
 /// Helpers giving the direct twin the exact shape the wire side builds.
 trait DirectTwin {
     fn register_live_camera_like_wire(&self);

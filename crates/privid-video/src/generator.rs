@@ -473,7 +473,7 @@ mod tests {
         let a = small(SceneConfig::campus());
         let b = small(SceneConfig::campus());
         assert_eq!(a.object_count(), b.object_count());
-        assert_eq!(a.objects[0].id, b.objects[0].id);
+        assert_eq!(a.objects.get(0).unwrap().id, b.objects.get(0).unwrap().id);
         assert_eq!(a.objects.last().unwrap().segments.len(), b.objects.last().unwrap().segments.len());
     }
 

@@ -34,6 +34,7 @@ pub mod datasets;
 pub mod generator;
 pub mod geometry;
 pub mod object;
+pub mod paged;
 pub mod plan;
 pub mod porto;
 pub mod recording;
@@ -49,7 +50,8 @@ pub use geometry::{BoundingBox, FrameSize, GridSpec, Mask, Point, Region, Region
 pub use object::{Attributes, ObjectClass, ObjectId, Observation, PresenceSegment, TrackedObject, VehicleColor};
 pub use plan::{ChunkBuffer, ChunkPlan, ChunkView, FrameView, ObjectView};
 pub use porto::{PortoConfig, PortoDataset, TaxiVisit};
-pub use recording::{FrameBatch, Recording, RecordingError};
+pub use paged::PagedVec;
+pub use recording::{FrameBatch, Recording, RecordingError, MAX_BATCH_SECS};
 pub use scene::{CameraId, Scene};
 pub use stats::{PersistenceHistogram, PersistenceStats, PresenceHeatmap};
 pub use time::{FrameRate, Seconds, TimeSpan, Timestamp};

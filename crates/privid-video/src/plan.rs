@@ -33,6 +33,7 @@
 use crate::chunk::{Chunk, ChunkObjectInfo, ChunkSpec, Frame};
 use crate::geometry::{BoundingBox, Mask};
 use crate::object::{Attributes, ObjectClass, ObjectId, Observation, TrackedObject};
+use crate::paged::PagedVec;
 use crate::scene::Scene;
 use crate::time::{TimeSpan, Timestamp};
 use std::collections::HashMap;
@@ -52,8 +53,6 @@ enum AttrSlot {
     Scene(u32),
     /// Index into the buffer's local attribute pool (owned-`Chunk` loading).
     Local(u32),
-    /// Unresolvable; falls back to the shared default.
-    Unknown,
 }
 
 /// One frame of a materialized chunk: a timestamp plus a range into the
@@ -191,7 +190,7 @@ impl ChunkBuffer {
             frames: &self.frames,
             observations: &self.observations,
             objects: &self.objects,
-            scene_objects: &[],
+            scene_objects: None,
             local_attrs: &self.local_attrs,
         }
     }
@@ -211,7 +210,8 @@ pub struct ChunkView<'v> {
     frames: &'v [FrameRecord],
     observations: &'v [Observation],
     objects: &'v [ObjectRecord],
-    scene_objects: &'v [TrackedObject],
+    /// The scene's object list, for views materialized from a [`ChunkPlan`].
+    scene_objects: Option<&'v PagedVec<TrackedObject>>,
     local_attrs: &'v [Attributes],
 }
 
@@ -362,14 +362,14 @@ impl<'v> ChunkView<'v> {
 
 fn resolve_attr<'v>(
     slot: AttrSlot,
-    scene_objects: &'v [TrackedObject],
+    scene_objects: Option<&'v PagedVec<TrackedObject>>,
     local_attrs: &'v [Attributes],
 ) -> &'v Attributes {
     match slot {
-        AttrSlot::Scene(i) => scene_objects.get(i as usize).map(|o| &o.attributes).unwrap_or_else(|| default_attributes()),
-        AttrSlot::Local(i) => local_attrs.get(i as usize).unwrap_or_else(|| default_attributes()),
-        AttrSlot::Unknown => default_attributes(),
+        AttrSlot::Scene(i) => scene_objects.and_then(|objects| objects.get(i as usize)).map(|o| &o.attributes),
+        AttrSlot::Local(i) => local_attrs.get(i as usize),
     }
+    .unwrap_or_else(|| default_attributes())
 }
 
 /// A borrowed view of one frame: its timestamp plus the observations visible
@@ -512,15 +512,12 @@ impl<'a> ChunkPlan<'a> {
                 break;
             }
             let obs_start = buf.observations.len();
-            self.scene.observations_at_masked_into(t, self.mask, &mut buf.observations);
-            for oi in obs_start..buf.observations.len() {
-                let obs = buf.observations[oi]; // privid-analyzer: allow(panic-freedom) -- oi ranges over obs_start..len() of the same buffer
-                let attr = match self.scene.object_index(obs.object_id) {
-                    Some(i) => AttrSlot::Scene(i as u32),
-                    None => AttrSlot::Unknown,
-                };
-                buf.note_observation(fi as usize, obs, attr);
-            }
+            // The scene hands over each observation with its object's index:
+            // no per-observation lookup to find where the attributes live.
+            self.scene.for_each_observation_at(t, self.mask, |obs, object_index| {
+                buf.observations.push(obs);
+                buf.note_observation(fi as usize, obs, AttrSlot::Scene(object_index));
+            });
             buf.frames.push(FrameRecord {
                 index_in_chunk: fi,
                 timestamp: t,
@@ -536,7 +533,7 @@ impl<'a> ChunkPlan<'a> {
             frames: &buf.frames,
             observations: &buf.observations,
             objects: &buf.objects,
-            scene_objects: &self.scene.objects,
+            scene_objects: Some(&self.scene.objects),
             local_attrs: &buf.local_attrs,
         }
     }
@@ -642,7 +639,7 @@ mod tests {
         let mut buf = ChunkBuffer::new();
         let view = plan.materialize_into(0, &mut buf);
         let obj = view.objects().next().expect("walker visible in chunk 0");
-        assert!(std::ptr::eq(obj.attributes(), &scene.objects[0].attributes), "no attribute clone");
+        assert!(std::ptr::eq(obj.attributes(), &scene.objects.get(0).unwrap().attributes), "no attribute clone");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! side of that model — the per-camera high-watermark (the *live edge*) plus
 //! the validation that keeps already-recorded frames final:
 //!
-//! * the live edge only moves forward ([`FrameBatch::duration_secs`] must be
-//!   positive);
+//! * the live edge only moves forward: every batch advances it by at least
+//!   one microsecond (the timeline's resolution) and at most
+//!   [`MAX_BATCH_SECS`], in checked integer arithmetic;
 //! * a batch may only add objects whose first appearance starts at or after
 //!   the live edge it is appended at (footage before the edge never changes,
 //!   which is what lets closed-window query results — and their cache
@@ -15,9 +16,15 @@
 //! * object ids stay unique across the whole recording.
 //!
 //! A delivered object may carry trajectory extending past the current edge
-//! (the tracker knows where it is heading); that future footage stays
-//! invisible to queries because [`Scene`] materializes no observations past
-//! `span.end`, and is revealed batch by batch as the edge advances.
+//! (the tracker knows where it is heading), up to [`MAX_BATCH_SECS`] past the
+//! new one; that future footage stays invisible to queries because [`Scene`]
+//! materializes no observations past `span.end`, and is revealed batch by
+//! batch as the edge advances.
+//!
+//! The recording is the *writer* of its scene: it alone needs to know which
+//! object ids exist (to refuse duplicates), so that set lives here and not in
+//! the [`Scene`] snapshots readers hold. [`Recording::scene`]`.clone()` is an
+//! O(1) snapshot that shares storage with the recording (see `scene`).
 //!
 //! **The replay contract (crash recovery).** Recorded footage is final, so
 //! the durable privacy ledger (`privid-store`) persists only admission state
@@ -37,7 +44,15 @@ use crate::plan::ChunkPlan;
 use crate::scene::{CameraId, Scene};
 use crate::time::{FrameRate, Seconds, TimeSpan, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
+
+/// The most footage one batch may append, and how far past the new live edge
+/// a delivered trajectory may reach: one week. Batches arrive from outside
+/// (over the wire, for a served camera); the bound keeps the edge arithmetic,
+/// the budget ledger's growth and the scene's time index proportional to
+/// something a camera can actually have recorded.
+pub const MAX_BATCH_SECS: Seconds = 7.0 * 24.0 * 3600.0;
 
 /// One batch of freshly recorded footage: how much timeline it covers and
 /// which ground-truth objects first appeared during it.
@@ -67,10 +82,27 @@ impl FrameBatch {
 /// untouched.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordingError {
-    /// The batch covers no footage (non-positive duration).
+    /// The batch covers no footage: its duration is not a finite number of
+    /// seconds that advances the live edge by at least one microsecond.
     EmptyBatch {
         /// The offending duration.
         duration_secs: Seconds,
+    },
+    /// The batch covers more than [`MAX_BATCH_SECS`], or would move the live
+    /// edge past the end of the representable timeline.
+    BatchTooLong {
+        /// The offending duration.
+        duration_secs: Seconds,
+    },
+    /// The batch delivers an object whose trajectory reaches more than
+    /// [`MAX_BATCH_SECS`] past the batch's new live edge.
+    BeyondHorizon {
+        /// The offending object.
+        id: ObjectId,
+        /// Where its last appearance ends, seconds.
+        last_seen_secs: Seconds,
+        /// The furthest a trajectory may reach at this append, seconds.
+        horizon_secs: Seconds,
     },
     /// The batch re-uses an object id already present in the recording.
     DuplicateObject(ObjectId),
@@ -92,6 +124,13 @@ impl fmt::Display for RecordingError {
             RecordingError::EmptyBatch { duration_secs } => {
                 write!(f, "frame batch must cover footage, got {duration_secs} s")
             }
+            RecordingError::BatchTooLong { duration_secs } => {
+                write!(f, "frame batch may cover at most {MAX_BATCH_SECS} s, got {duration_secs} s")
+            }
+            RecordingError::BeyondHorizon { id, last_seen_secs, horizon_secs } => write!(
+                f,
+                "object {id} is still visible at {last_seen_secs} s, past the {horizon_secs} s horizon of this batch"
+            ),
             RecordingError::DuplicateObject(id) => write!(f, "object {id} already exists in the recording"),
             RecordingError::BeforeLiveEdge { id, first_seen_secs, live_edge_secs } => write!(
                 f,
@@ -108,6 +147,8 @@ impl std::error::Error for RecordingError {}
 #[derive(Debug, Clone)]
 pub struct Recording {
     scene: Scene,
+    /// Every object id in `scene`, for duplicate detection.
+    ids: HashSet<ObjectId>,
 }
 
 impl Recording {
@@ -121,12 +162,8 @@ impl Recording {
                 frame_size,
                 Vec::new(),
             ),
+            ids: HashSet::new(),
         }
-    }
-
-    /// Resume a recording from a scene snapshot (its span end is the edge).
-    pub fn from_scene(scene: Scene) -> Self {
-        Recording { scene }
     }
 
     /// The high-watermark: footage exists strictly before this timestamp.
@@ -134,7 +171,7 @@ impl Recording {
         self.scene.span.end
     }
 
-    /// The recording's scene so far.
+    /// The recording's scene so far. Cloning it is an O(1) snapshot.
     pub fn scene(&self) -> &Scene {
         &self.scene
     }
@@ -151,15 +188,34 @@ impl Recording {
         ChunkPlan::new(&self.scene, &TimeSpan::new(self.scene.span.start, self.scene.span.end), spec, None)
     }
 
-    /// Append one batch of footage, advancing the live edge. Returns the new
-    /// edge. Validation is all-or-nothing: a rejected batch changes nothing.
-    pub fn append_batch(&mut self, batch: FrameBatch) -> Result<Timestamp, RecordingError> {
-        if batch.duration_secs <= 0.0 || !batch.duration_secs.is_finite() {
-            return Err(RecordingError::EmptyBatch { duration_secs: batch.duration_secs });
+    /// Check that `batch` can be appended at the current live edge and return
+    /// the edge it would move to, changing nothing. [`Recording::append_batch`]
+    /// runs exactly this first; a caller with work to do in between (the
+    /// service journals the new edge) validates up front so that nothing it
+    /// does can be followed by a refusal.
+    pub fn validate(&self, batch: &FrameBatch) -> Result<Timestamp, RecordingError> {
+        let duration_secs = batch.duration_secs;
+        if duration_secs > MAX_BATCH_SECS {
+            return Err(RecordingError::BatchTooLong { duration_secs });
+        }
+        // Bounded above, so the conversion cannot saturate upwards; NaN
+        // converts to 0 and anything non-positive stays non-positive.
+        let advance = Timestamp::from_secs(duration_secs).as_micros();
+        if advance < 1 {
+            return Err(RecordingError::EmptyBatch { duration_secs });
         }
         let edge = self.live_edge();
+        let new_edge = edge
+            .as_micros()
+            .checked_add(advance)
+            .map(Timestamp::from_micros)
+            .ok_or(RecordingError::BatchTooLong { duration_secs })?;
+        let horizon =
+            Timestamp::from_micros(new_edge.as_micros().saturating_add(Timestamp::from_secs(MAX_BATCH_SECS).as_micros()));
+        let mut seen = HashSet::with_capacity(batch.objects.len());
         for obj in &batch.objects {
-            if self.scene.object_index(obj.id).is_some() {
+            // `seen` catches ids repeated *within* the batch.
+            if self.ids.contains(&obj.id) || !seen.insert(obj.id) {
                 return Err(RecordingError::DuplicateObject(obj.id));
             }
             let first = obj.first_seen().unwrap_or(edge);
@@ -170,16 +226,24 @@ impl Recording {
                     live_edge_secs: edge.as_secs(),
                 });
             }
+            if let Some(last) = obj.segments.iter().map(|s| s.span.end).max().filter(|last| *last > horizon) {
+                return Err(RecordingError::BeyondHorizon {
+                    id: obj.id,
+                    last_seen_secs: last.as_secs(),
+                    horizon_secs: horizon.as_secs(),
+                });
+            }
         }
-        // Duplicate ids *within* the batch: the scene lookup above only sees
-        // already-appended objects.
-        let mut ids: Vec<ObjectId> = batch.objects.iter().map(|o| o.id).collect();
-        ids.sort_unstable();
-        // privid-analyzer: allow(panic-freedom) -- windows(2) yields exactly-2-element slices
-        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(RecordingError::DuplicateObject(w[0])); // privid-analyzer: allow(panic-freedom) -- windows(2) yields exactly-2-element slices
-        }
-        let new_edge = edge.add_secs(batch.duration_secs);
+        Ok(new_edge)
+    }
+
+    /// Append one batch of footage, advancing the live edge. Returns the new
+    /// edge. Validation is all-or-nothing: a rejected batch changes nothing.
+    /// Costs O(batch), however long the recording and however many snapshots
+    /// of its scene are alive.
+    pub fn append_batch(&mut self, batch: FrameBatch) -> Result<Timestamp, RecordingError> {
+        let new_edge = self.validate(&batch)?;
+        self.ids.extend(batch.objects.iter().map(|o| o.id));
         self.scene.extend(new_edge, batch.objects);
         Ok(new_edge)
     }
@@ -252,6 +316,54 @@ mod tests {
         ));
         assert_eq!(rec.live_edge(), Timestamp::from_secs(60.0), "every rejection left the edge alone");
         assert_eq!(rec.scene().object_count(), 1);
+    }
+
+    #[test]
+    fn hostile_batch_durations_are_refused_not_rounded_or_wrapped() {
+        let mut rec = fresh();
+        rec.append_batch(FrameBatch::empty(30.0)).unwrap();
+        let edge = rec.live_edge();
+        // Rounds to 0 µs: acknowledging it would leave the edge unmoved.
+        for secs in [4e-7, f64::MIN_POSITIVE, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert!(
+                matches!(rec.append_batch(FrameBatch::empty(secs)), Err(RecordingError::EmptyBatch { .. })),
+                "{secs} s must be refused as covering no footage"
+            );
+        }
+        // Saturates the µs conversion: used to wrap the edge and trip the
+        // `Scene::extend` assertion.
+        for secs in [1e300, f64::INFINITY, MAX_BATCH_SECS * (1.0 + f64::EPSILON)] {
+            let refused = rec.append_batch(FrameBatch::empty(secs));
+            assert!(
+                matches!(refused, Err(RecordingError::BatchTooLong { .. } | RecordingError::EmptyBatch { .. })),
+                "{secs} s must be refused, got {refused:?}"
+            );
+        }
+        assert_eq!(rec.live_edge(), edge, "every refusal left the edge alone");
+        // The bounds themselves are fine: one µs, and a whole week.
+        assert_eq!(rec.append_batch(FrameBatch::empty(1e-6)).unwrap().as_micros(), edge.as_micros() + 1);
+        rec.append_batch(FrameBatch::empty(MAX_BATCH_SECS)).unwrap();
+        // An edge at the end of the representable timeline cannot advance.
+        let mut last = fresh();
+        last.scene.span.end = Timestamp::from_micros(i64::MAX - 10);
+        assert!(matches!(last.append_batch(FrameBatch::empty(1.0)), Err(RecordingError::BatchTooLong { .. })));
+        assert_eq!(last.live_edge(), Timestamp::from_micros(i64::MAX - 10));
+    }
+
+    #[test]
+    fn trajectories_may_not_reach_past_the_horizon() {
+        // The scene's time index is dense: a trajectory delivered for the far
+        // future would make it allocate every minute in between.
+        let mut rec = fresh();
+        let far = 60.0 + MAX_BATCH_SECS + 1.0;
+        match rec.append_batch(FrameBatch::new(60.0, vec![walker(1, 10.0, far)])) {
+            Err(RecordingError::BeyondHorizon { id, last_seen_secs, horizon_secs }) => {
+                assert_eq!((id, last_seen_secs, horizon_secs), (ObjectId(1), far, 60.0 + MAX_BATCH_SECS));
+            }
+            other => panic!("expected BeyondHorizon, got {other:?}"),
+        }
+        assert_eq!((rec.live_edge(), rec.scene().object_count()), (Timestamp::ZERO, 0));
+        rec.append_batch(FrameBatch::new(60.0, vec![walker(1, 10.0, far - 1.0)])).unwrap();
     }
 
     #[test]

@@ -10,9 +10,18 @@
 //! Scenes carry a coarse time-bucketed index over presence segments so that
 //! materializing a frame only inspects objects present in that minute of
 //! video instead of every object in a 12-hour recording.
+//!
+//! **One representation for recorded and live cameras.** Objects and index
+//! buckets live in [`PagedVec`]s — append-only vectors whose clones share
+//! pages — so `Scene::clone` is O(1) in the amount of footage,
+//! [`Scene::extend`] copies only the pages and buckets the new objects touch,
+//! and dropping a superseded snapshot frees only what it alone owned. That is
+//! what lets a live camera publish a snapshot per appended batch for days on
+//! end at a cost that depends on the batch, never on the recording.
 
 use crate::geometry::{FrameSize, Mask, RegionScheme};
-use crate::object::{ObjectId, Observation, TrackedObject};
+use crate::object::{Observation, TrackedObject};
+use crate::paged::PagedVec;
 use crate::time::{FrameRate, Seconds, TimeSpan, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -47,7 +56,25 @@ impl std::fmt::Display for CameraId {
 /// Width of one index bucket in seconds.
 const BUCKET_SECS: f64 = 60.0;
 
+/// The index bucket a timestamp falls into.
+fn bucket_of(t: Timestamp) -> i64 {
+    (t.as_secs() / BUCKET_SECS).floor() as i64
+}
+
+/// One index entry: a presence segment overlapping the bucket. It points at
+/// its object directly — the per-frame walk never goes back through
+/// `objects` — and carries the object's position there for consumers that
+/// refer to objects by index ([`crate::ChunkView`]'s attribute slots).
+#[derive(Debug, Clone)]
+struct Sighting {
+    object: Arc<TrackedObject>,
+    object_index: u32,
+    segment: u32,
+}
+
 /// The ground-truth contents of one camera's recording.
+///
+/// Cloning is O(1) and clones share storage (see the module docs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Scene {
     /// The camera that recorded this scene.
@@ -58,21 +85,20 @@ pub struct Scene {
     pub frame_rate: FrameRate,
     /// Pixel dimensions of the frames.
     pub frame_size: FrameSize,
-    /// Every ground-truth object that ever appears.
-    pub objects: Vec<TrackedObject>,
+    /// Every ground-truth object that ever appears, in delivery order.
+    pub objects: PagedVec<TrackedObject>,
     /// Optional spatial-splitting schemes published by the video owner (§7.2),
     /// keyed by scheme name.
     pub region_schemes: HashMap<String, RegionScheme>,
-    /// Time-bucketed index: bucket number → (object index, segment index)
-    /// pairs whose segment overlaps that bucket. Rebuilt on construction and
+    /// Time-bucketed index: element `b - index_base` lists the segments
+    /// overlapping bucket `b`, in object order. Rebuilt on construction and
     /// skipped during serialization.
     #[serde(skip)]
-    index: HashMap<i64, Vec<(u32, u32)>>,
-    /// Object id → index into `objects`. Rebuilt alongside `index`; lets the
-    /// chunking hot path resolve an observation's attributes without scanning
-    /// the whole object list.
+    index: PagedVec<Vec<Sighting>>,
+    /// The bucket of `span.start` when the index was built. Earlier buckets
+    /// are not indexed: no frame exists before the recording starts.
     #[serde(skip)]
-    by_id: HashMap<ObjectId, u32>,
+    index_base: i64,
 }
 
 impl Scene {
@@ -89,10 +115,10 @@ impl Scene {
             span,
             frame_rate,
             frame_size,
-            objects,
+            objects: objects.into_iter().collect(),
             region_schemes: HashMap::new(),
-            index: HashMap::new(),
-            by_id: HashMap::new(),
+            index: PagedVec::new(),
+            index_base: 0,
         };
         scene.rebuild_index();
         scene
@@ -101,30 +127,25 @@ impl Scene {
     /// Rebuild the time-bucketed segment index. Call after mutating `objects`
     /// directly (the generators never do; they construct scenes once).
     pub fn rebuild_index(&mut self) {
-        self.index.clear();
-        self.by_id.clear();
-        for oi in 0..self.objects.len() {
-            self.index_object(oi);
+        self.index = PagedVec::new();
+        self.index_base = bucket_of(self.span.start);
+        let objects = self.objects.clone(); // O(1): iterate a snapshot while `self` is indexed
+        for (oi, object) in objects.iter_shared().enumerate() {
+            self.index_object(oi, object);
         }
     }
 
-    /// Index one object's segments (and its id), by object index.
-    fn index_object(&mut self, oi: usize) {
-        let obj = &self.objects[oi]; // privid-analyzer: allow(panic-freedom) -- callers iterate 0..objects.len()
-        self.by_id.insert(obj.id, oi as u32);
-        let buckets: Vec<(i64, i64, u32)> = obj
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(si, seg)| {
-                let b0 = (seg.span.start.as_secs() / BUCKET_SECS).floor() as i64;
-                let b1 = (seg.span.end.as_secs() / BUCKET_SECS).floor() as i64;
-                (b0, b1, si as u32)
-            })
-            .collect();
-        for (b0, b1, si) in buckets {
-            for b in b0..=b1 {
-                self.index.entry(b).or_default().push((oi as u32, si));
+    /// Index one object's segments; `oi` is its position in `objects`.
+    fn index_object(&mut self, oi: usize, object: &Arc<TrackedObject>) {
+        for (si, seg) in object.segments.iter().enumerate() {
+            for b in bucket_of(seg.span.start)..=bucket_of(seg.span.end) {
+                let Ok(slot) = usize::try_from(b - self.index_base) else { continue };
+                while self.index.len() <= slot {
+                    self.index.push(Vec::new());
+                }
+                if let Some(bucket) = self.index.get_mut(slot) {
+                    bucket.push(Sighting { object: Arc::clone(object), object_index: oi as u32, segment: si as u32 });
+                }
             }
         }
     }
@@ -135,21 +156,18 @@ impl Scene {
     /// This is the mechanical half of live ingestion — [`crate::Recording`]
     /// wraps it with the validation (monotonic edge, unique ids, no footage
     /// added before the live edge) that keeps already-recorded frames final.
-    /// Cost is proportional to the *batch*, not the whole scene, so a camera
-    /// appending all day never pays a full reindex.
+    /// Cost is proportional to the *batch*, not the whole scene — also when
+    /// snapshots of the scene are alive: only the pages and index buckets the
+    /// batch touches are copied, everything else stays shared with them.
     pub fn extend(&mut self, new_end: Timestamp, objects: Vec<TrackedObject>) {
         assert!(new_end >= self.span.end, "a recording timeline only ever grows");
         self.span.end = new_end;
-        for obj in objects {
+        for object in objects {
+            let object = Arc::new(object);
             let oi = self.objects.len();
-            self.objects.push(obj);
-            self.index_object(oi);
+            self.objects.push(Arc::clone(&object));
+            self.index_object(oi, &object);
         }
-    }
-
-    /// Index of an object in `objects`, by id.
-    pub fn object_index(&self, id: ObjectId) -> Option<usize> {
-        self.by_id.get(&id).map(|&i| i as usize)
     }
 
     /// Register a spatial-splitting scheme under a name.
@@ -180,31 +198,41 @@ impl Scene {
 
     /// Append the (masked) observations at a timestamp to `out`.
     ///
-    /// The allocation-free workhorse behind [`Scene::observations_at_masked`]:
-    /// chunk materialization calls it once per frame into a reused buffer, so
-    /// the hot path performs no per-frame allocation at steady state.
+    /// The allocation-free workhorse behind [`Scene::observations_at_masked`].
     ///
     /// Timestamps outside `span` yield nothing: the recording ends at
     /// `span.end`, so no frame exists there — even when a ground-truth
     /// trajectory (delivered early by a live [`crate::Recording`] batch, or
     /// overhanging a generated scene's end) extends past it.
     pub fn observations_at_masked_into(&self, t: Timestamp, mask: Option<&Mask>, out: &mut Vec<Observation>) {
+        self.for_each_observation_at(t, mask, |obs, _| out.push(obs));
+    }
+
+    /// Visit the (masked) observations at a timestamp, each with its object's
+    /// position in `objects`. One bucket lookup per call; every entry of the
+    /// bucket points straight at its object.
+    pub(crate) fn for_each_observation_at(
+        &self,
+        t: Timestamp,
+        mask: Option<&Mask>,
+        mut visit: impl FnMut(Observation, u32),
+    ) {
         if !self.span.contains(t) {
             return;
         }
-        let bucket = (t.as_secs() / BUCKET_SECS).floor() as i64;
-        let Some(entries) = self.index.get(&bucket) else { return };
-        for &(oi, si) in entries {
-            let obj = &self.objects[oi as usize]; // privid-analyzer: allow(panic-freedom) -- index entries are minted from enumerate over objects/segments and rebuilt on every mutation
-            let seg = &obj.segments[si as usize]; // privid-analyzer: allow(panic-freedom) -- same proof: (oi, si) minted from enumerate
-            if let Some(bbox) = seg.bbox_at(t) {
-                if let Some(m) = mask {
-                    if m.hides(&bbox) {
-                        continue;
-                    }
-                }
-                out.push(Observation { object_id: obj.id, class: obj.class, bbox, timestamp: t });
+        let Some(bucket) = usize::try_from(bucket_of(t) - self.index_base).ok().and_then(|slot| self.index.get(slot))
+        else {
+            return;
+        };
+        for sighting in bucket {
+            let obj = &*sighting.object;
+            let Some(bbox) = obj.segments.get(sighting.segment as usize).and_then(|seg| seg.bbox_at(t)) else {
+                continue;
+            };
+            if mask.is_some_and(|m| m.hides(&bbox)) {
+                continue;
             }
+            visit(Observation { object_id: obj.id, class: obj.class, bbox, timestamp: t }, sighting.object_index);
         }
     }
 
@@ -373,7 +401,7 @@ mod tests {
     #[test]
     fn observable_runs_without_mask_cover_full_segments() {
         let scene = simple_scene();
-        let runs = scene.observable_runs(&scene.objects[0], None);
+        let runs = scene.observable_runs(scene.objects.get(0).unwrap(), None);
         assert_eq!(runs.len(), 1);
         assert!((runs[0] - 30.0).abs() <= scene.frame_rate.frame_duration() + 1e-9);
     }
@@ -424,7 +452,7 @@ mod tests {
         let obs = scene.observations_at(Timestamp::from_secs(730.0));
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].object_id, ObjectId(9));
-        assert_eq!(scene.object_index(ObjectId(9)), Some(2));
+        assert_eq!(scene.objects.last().map(|o| o.id), Some(ObjectId(9)));
         // …and the pre-existing footage is untouched.
         assert_eq!(scene.observations_at(Timestamp::from_secs(10.0)).len(), 2);
     }
@@ -457,5 +485,101 @@ mod tests {
         assert!(scene.observations_at(Timestamp::from_secs(520.0)).is_empty());
         scene.rebuild_index();
         assert_eq!(scene.observations_at(Timestamp::from_secs(520.0)).len(), 1);
+    }
+
+    // ---- structurally shared snapshots ------------------------------------------------
+
+    use crate::chunk::ChunkSpec;
+    use crate::plan::{ChunkBuffer, ChunkPlan};
+    use crate::recording::{FrameBatch, Recording};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    fn walker(id: u64, start: f64, end: f64) -> TrackedObject {
+        TrackedObject::new(
+            ObjectId(id),
+            ObjectClass::Person,
+            Attributes::default(),
+            vec![PresenceSegment {
+                span: TimeSpan::between_secs(start, end),
+                trajectory: Trajectory::linear(Point::new(0.0, 50.0), Point::new(100.0, 50.0), 5.0, 10.0),
+            }],
+        )
+    }
+
+    /// Everything a reader can see of `scene`: every chunk of its span, and
+    /// the observations at a few instants up to and past its edge.
+    fn footage(scene: &Scene) -> (Vec<crate::chunk::Chunk>, Vec<Vec<Observation>>) {
+        let plan = ChunkPlan::new(scene, &scene.span, &ChunkSpec::new(10.0, 20.0).unwrap(), None);
+        let mut buf = ChunkBuffer::new();
+        let chunks = (0..plan.len()).map(|i| plan.materialize_into(i, &mut buf).to_chunk()).collect();
+        let end = scene.span.end.as_secs();
+        let instants = (0..=20).map(|i| scene.observations_at(Timestamp::from_secs(end * f64::from(i) / 16.0))).collect();
+        (chunks, instants)
+    }
+
+    /// `after` is `before` extended by `batch`: every page and bucket the
+    /// batch did not touch must be the *same allocation* in both.
+    fn assert_untouched_storage_is_shared(before: &Scene, after: &Scene, batch: &[TrackedObject]) {
+        let (old, new) = (before.objects.pages(), after.objects.pages());
+        for (page, (o, n)) in old.iter().zip(&new).enumerate() {
+            // Appending fills the last page; a full one is never written again.
+            if batch.is_empty() || o.len() == 32 {
+                assert!(std::ptr::eq(*o, *n), "object page {page} was copied");
+            }
+        }
+        let touched: BTreeSet<usize> = batch
+            .iter()
+            .flat_map(|o| &o.segments)
+            .flat_map(|seg| bucket_of(seg.span.start)..=bucket_of(seg.span.end))
+            .map(|b| usize::try_from(b - before.index_base).unwrap())
+            .collect();
+        for (slot, (o, n)) in before.index.iter_shared().zip(after.index.iter_shared()).enumerate() {
+            assert_eq!(Arc::ptr_eq(o, n), !touched.contains(&slot), "bucket {slot}; the batch touched {touched:?}");
+        }
+        let grown = after.index.len() > before.index.len();
+        for (page, (o, n)) in before.index.pages().iter().zip(&after.index.pages()).enumerate() {
+            let written = touched.iter().any(|slot| slot / 32 == page) || (grown && o.len() < 32);
+            assert_eq!(std::ptr::eq(*o, *n), !written, "index page {page}; the batch touched {touched:?}");
+        }
+    }
+
+    proptest! {
+        /// Random batch sequences: a snapshot taken after any append keeps
+        /// returning exactly the footage of a one-shot `Scene::new` over what
+        /// had been delivered by then — however many batches follow — and
+        /// each append copies only the storage its batch touches.
+        #[test]
+        fn snapshots_are_final_and_share_what_later_appends_leave_alone(
+            raw in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 1..10), 1..14)
+        ) {
+            let (camera, fps, size) = (CameraId::new("live"), FrameRate::new(2.0), FrameSize::new(100, 100));
+            let mut rec = Recording::start(camera.clone(), fps, size);
+            let mut delivered: Vec<TrackedObject> = Vec::new();
+            let mut snapshots: Vec<(Scene, usize)> = Vec::new();
+            for spec in &raw {
+                // spec = [duration, (start, length)*], each in [0, 1).
+                let edge = rec.live_edge().as_secs();
+                let duration = (1.0 + spec[0] * 400.0).round();
+                let batch: Vec<TrackedObject> = spec[1..]
+                    .chunks_exact(2)
+                    .zip(delivered.len() as u64..)
+                    .map(|(p, id)| {
+                        let start = (edge + p[0] * duration).floor();
+                        walker(id, start, start + 0.5 + (p[1] * 300.0).round())
+                    })
+                    .collect();
+                let before = rec.scene().clone();
+                rec.append_batch(FrameBatch::new(duration, batch.clone())).unwrap();
+                assert_untouched_storage_is_shared(&before, rec.scene(), &batch);
+                delivered.extend(batch);
+                snapshots.push((rec.scene().clone(), delivered.len()));
+            }
+            for (snapshot, n_objects) in &snapshots {
+                let one_shot = Scene::new(camera.clone(), snapshot.span, fps, size, delivered[..*n_objects].to_vec());
+                prop_assert_eq!(snapshot.object_count(), *n_objects);
+                prop_assert_eq!(footage(snapshot), footage(&one_shot));
+            }
+        }
     }
 }

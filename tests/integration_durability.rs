@@ -201,7 +201,7 @@ fn a_second_restart_after_a_checkpoint_recovers_from_the_snapshot() {
     {
         let svc = build();
         register(&svc, &generated);
-        svc.append_frames("campus", FrameBatch::new(600.0, generated.objects.clone())).unwrap();
+        svc.append_frames("campus", FrameBatch::new(600.0, generated.objects.to_vec())).unwrap();
         svc.execute_text(3, &window_query(0.0, 300.0, 1.0)).unwrap();
     }
     {
@@ -210,7 +210,7 @@ fn a_second_restart_after_a_checkpoint_recovers_from_the_snapshot() {
         assert!((svc.remaining_budget("campus", 100.0).unwrap() - (POLICY.2 - 1.0)).abs() < 1e-9);
         // Replay the recorded footage (the video store survives the crash;
         // the WAL only persists admission state), then query fresh windows.
-        svc.append_frames("campus", FrameBatch::new(600.0, generated.objects.clone())).unwrap();
+        svc.append_frames("campus", FrameBatch::new(600.0, generated.objects.to_vec())).unwrap();
         svc.execute_text(4, &window_query(300.0, 600.0, 0.5)).unwrap();
         svc.checkpoint().expect("explicit checkpoint");
     }
@@ -238,7 +238,7 @@ fn durable_serving_is_bit_for_bit_identical_to_in_memory_serving() {
     let plain = QueryService::builder().parallelism(Parallelism::Fixed(2)).build().expect("in-memory service builds");
     for svc in [&durable, &plain] {
         register(svc, &generated);
-        svc.append_frames("campus", FrameBatch::new(900.0, generated.objects.clone())).unwrap();
+        svc.append_frames("campus", FrameBatch::new(900.0, generated.objects.to_vec())).unwrap();
     }
     let queries: Vec<(u64, String)> =
         (0..6).map(|q| (100 + q, window_query((q % 3) as f64 * 300.0, ((q % 3) + 1) as f64 * 300.0, 0.2))).collect();

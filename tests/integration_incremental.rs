@@ -333,3 +333,81 @@ fn recovered_standing_state_replays_to_identical_releases() {
     assert_firings_match_batch_replay(&stitched, &finale);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sibling_standing_queries_sharing_one_tail_match_a_cache_disabled_service_across_a_restart() {
+    // COUNT and SUM over the same window are one PROCESS: within a pump call
+    // the second sibling is served the tail table the first one executed
+    // (the per-call tail memo), on firings and on pre-folds alike. What they
+    // release must be exactly what a service with every cache tier disabled
+    // releases — which runs each query alone, through the reference path —
+    // including for the windows fired after a crash and a WAL restart.
+    let dir: PathBuf = std::env::temp_dir().join(format!("privid-incremental-siblings-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let generated = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.5)).generate();
+    let batches = batches_of(&generated);
+    const CRASH_AFTER: usize = 3;
+    const SIBLINGS: [(&str, u64, &str); 2] =
+        [("count", STANDING_SEED, "COUNT(*)"), ("sum", STANDING_SEED + 100, "SUM(range(count, 0, 20))")];
+
+    let register = |svc: &QueryService| {
+        svc.register_live_camera("campus", generated.frame_rate, generated.frame_size, policy())
+            .expect("camera registration must succeed");
+        register_processors(svc);
+        for (name, seed, select) in SIBLINGS {
+            let text = people_query(0.0, BATCH_SECS, &format!("SELECT {select} FROM people CONSUMING 0.5;"));
+            svc.register_standing_query(name, seed, &text).unwrap();
+        }
+    };
+    // Each period arrives in two halves: the first append pre-folds the
+    // closed half of the forming window, the second closes it and fires.
+    let feed = |svc: &QueryService, batches: &[FrameBatch]| -> usize {
+        let mut fired = 0;
+        for batch in batches {
+            let (early, late): (Vec<TrackedObject>, Vec<TrackedObject>) = batch.objects.iter().cloned().partition(|o| {
+                o.first_seen().map(|t| t.as_secs() % BATCH_SECS < BATCH_SECS / 2.0).unwrap_or(true)
+            });
+            fired += svc.append_frames("campus", FrameBatch::new(BATCH_SECS / 2.0, early)).unwrap().standing_fired;
+            fired += svc.append_frames("campus", FrameBatch::new(BATCH_SECS / 2.0, late)).unwrap().standing_fired;
+        }
+        fired
+    };
+    let firings = |svc: &QueryService| -> Vec<Vec<StandingFiring>> {
+        SIBLINGS.iter().map(|(name, ..)| svc.standing_results(name).unwrap()).collect()
+    };
+
+    let reference = QueryService::builder()
+        .parallelism(Parallelism::Fixed(1))
+        .cache_capacity(0)
+        .build()
+        .expect("in-memory service builds");
+    register(&reference);
+    assert_eq!(feed(&reference, &batches), 2 * N_BATCHES);
+
+    let durable = || {
+        QueryService::builder()
+            .parallelism(Parallelism::Fixed(1))
+            .durability(Durability::wal(&dir, FsyncPolicy::Always))
+            .build()
+            .expect("durable service builds")
+    };
+    let pre_crash = {
+        let svc = durable();
+        register(&svc);
+        assert_eq!(feed(&svc, &batches[..CRASH_AFTER]), 2 * CRASH_AFTER);
+        firings(&svc)
+        // dropped without shutdown: a crash
+    };
+    let svc = durable();
+    register(&svc);
+    assert_eq!(feed(&svc, &batches[..CRASH_AFTER]), 0, "replayed footage re-fires nothing");
+    assert_eq!(feed(&svc, &batches[CRASH_AFTER..]), 2 * (N_BATCHES - CRASH_AFTER));
+
+    for ((pre, post), reference) in pre_crash.into_iter().zip(firings(&svc)).zip(firings(&reference)) {
+        let stitched: Vec<StandingFiring> = pre.into_iter().chain(post).collect();
+        assert_eq!(stitched.len(), N_BATCHES);
+        assert!(stitched.iter().all(|f| f.result.is_ok()), "ample budget: every firing admitted");
+        assert_eq!(stitched, reference, "window, seed and every released bit");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,10 +5,14 @@
 //! edge must fail cleanly without burning budget, and standing queries must
 //! fire exactly once per completed window with batch-replayable releases.
 
+use privid::query::Value;
+use privid::video::trajectory::Trajectory;
+use privid::video::{Attributes, ObjectClass, ObjectId, Point, PresenceSegment};
 use privid::{
-    ChunkProcessor, FrameBatch, Parallelism, PrivacyPolicy, PrividError, QueryResult, QueryService, Scene,
-    SceneConfig, SceneGenerator, TimeSpan, TrackedObject, UniqueEntrantProcessor,
+    ChunkProcessor, ChunkView, FrameBatch, FrameRate, FrameSize, Parallelism, PrivacyPolicy, PrividError,
+    QueryResult, QueryService, Scene, SceneConfig, SceneGenerator, TimeSpan, TrackedObject, UniqueEntrantProcessor,
 };
+use std::sync::{Arc, Mutex};
 
 const BATCH_SECS: f64 = 300.0;
 const POLICY: (f64, u32, f64) = (60.0, 2, 20.0);
@@ -231,4 +235,144 @@ fn standing_query_replays_bit_for_bit_and_debits_once_per_slot() {
             "slot at {at}s debited exactly once"
         );
     }
+}
+
+/// The person counter, logging every chunk it is run on as
+/// `(camera, chunk start in seconds)`.
+struct LoggingCounter {
+    inner: UniqueEntrantProcessor,
+    log: Arc<Mutex<Vec<(String, u32)>>>,
+}
+
+impl ChunkProcessor for LoggingCounter {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn process(&mut self, chunk: &ChunkView<'_>) -> Vec<Vec<Value>> {
+        self.log.lock().unwrap().push((chunk.camera().to_string(), chunk.span().start.as_secs() as u32));
+        self.inner.process(chunk)
+    }
+}
+
+/// 30 s of footage starting at `edge`: two people crossing the frame.
+fn half_minute(edge: u32, first_id: u64) -> FrameBatch {
+    let person = |id: u64, start: f64, end: f64| {
+        TrackedObject::new(
+            ObjectId(id),
+            ObjectClass::Person,
+            Attributes::default(),
+            vec![PresenceSegment {
+                span: TimeSpan::between_secs(start, end),
+                trajectory: Trajectory::linear(Point::new(0.0, 50.0), Point::new(100.0, 50.0), 5.0, 10.0),
+            }],
+        )
+    };
+    let edge = f64::from(edge);
+    FrameBatch::new(30.0, vec![person(first_id, edge + 2.0, edge + 14.0), person(first_id + 1, edge + 11.0, edge + 27.0)])
+}
+
+#[test]
+fn the_pump_is_scoped_to_the_appended_camera_and_runs_each_closed_chunk_once_per_window() {
+    let svc = QueryService::builder().parallelism(Parallelism::Fixed(1)).build().expect("in-memory service builds");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let factory_log = Arc::clone(&log);
+    svc.register_processor("person_counter", move || {
+        Box::new(LoggingCounter { inner: UniqueEntrantProcessor::people(), log: Arc::clone(&factory_log) })
+            as Box<dyn ChunkProcessor>
+    })
+    .unwrap();
+    // What ran since the last call, sorted.
+    let drain = || {
+        let mut runs = std::mem::take(&mut *log.lock().unwrap());
+        runs.sort();
+        runs
+    };
+    let on = |camera: &str, starts: &[u32]| -> Vec<(String, u32)> {
+        starts.iter().map(|s| (camera.to_string(), *s)).collect()
+    };
+    let standing = |camera: &str, window: u32, select: &str| {
+        format!(
+            "SPLIT {camera} BEGIN 0 END {window} BY TIME 10 sec STRIDE 0 sec INTO chunks;
+             PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
+                 WITH SCHEMA (count:NUMBER=0) INTO people;
+             SELECT {select} FROM people CONSUMING 0.1;"
+        )
+    };
+    // 2 live cameras × {30, 60} s windows × {COUNT, SUM}: per camera, four
+    // standing queries over two distinct windows.
+    for camera in ["a", "b"] {
+        svc.register_live_camera(camera, FrameRate::new(2.0), FrameSize::new(100, 100), policy()).unwrap();
+        for window in [30, 60] {
+            for (tag, select) in [("count", "COUNT(*)"), ("sum", "SUM(range(count, 0, 20))")] {
+                let name = format!("{camera}-{tag}-{window}");
+                assert_eq!(svc.register_standing_query(name, 7, &standing(camera, window, select)).unwrap(), 0);
+            }
+        }
+    }
+
+    // A's first half minute closes chunks 0, 10, 20. Both 30 s queries fire,
+    // both 60 s queries pre-fold their forming window: four queries, two
+    // distinct windows — each chunk runs twice, not four times, and nothing
+    // of B's runs or changes.
+    assert_eq!(svc.append_frames("a", half_minute(0, 0)).unwrap().standing_fired, 2);
+    assert_eq!(drain(), on("a", &[0, 0, 10, 10, 20, 20]));
+    // The second closes 30, 40, 50: window [30, 60) fires twice, window
+    // [0, 60) fires twice on top of its pre-folded first half.
+    assert_eq!(svc.append_frames("a", half_minute(30, 2)).unwrap().standing_fired, 4);
+    assert_eq!(drain(), on("a", &[30, 30, 40, 40, 50, 50]));
+    for name in ["b-count-30", "b-sum-30", "b-count-60", "b-sum-60"] {
+        assert!(svc.standing_results(name).unwrap().is_empty(), "{name} has nothing to fire for");
+    }
+    // COUNT and SUM siblings were served the same tail, each its own release.
+    for window in [30, 60] {
+        let count = svc.standing_results(&format!("a-count-{window}")).unwrap();
+        let sum = svc.standing_results(&format!("a-sum-{window}")).unwrap();
+        assert_eq!(count.len(), 60 / window);
+        for (c, s) in count.iter().zip(&sum) {
+            assert_eq!(c.window, s.window);
+            let (c, s) = (c.result.as_ref().unwrap(), s.result.as_ref().unwrap());
+            assert_eq!((c.chunks_processed, s.chunks_processed), (window / 10, window / 10));
+            assert!(c.releases[0].raw.as_number().unwrap() >= 1.0, "the window holds rows");
+            assert!(s.releases[0].raw.as_number().unwrap() >= 1.0, "somebody entered");
+        }
+    }
+
+    // Catch-up at registration: A already completed two 30 s windows. Their
+    // chunks are folded in tier 2 by now — nothing runs again.
+    assert_eq!(svc.register_standing_query("a-late", 9, &standing("a", 30, "COUNT(*)")).unwrap(), 2);
+    assert_eq!(drain(), Vec::new());
+    let (late, early) = (svc.standing_results("a-late").unwrap(), svc.standing_results("a-count-30").unwrap());
+    assert_eq!(late.len(), 2);
+    for (late, early) in late.iter().zip(&early) {
+        assert_eq!(late.window, early.window);
+        assert_eq!(late.result.as_ref().unwrap().releases[0].raw, early.result.as_ref().unwrap().releases[0].raw);
+    }
+
+    // A query over both cameras fires at the slower camera's edge: not at
+    // registration (B is empty), then once per half minute B records.
+    let both = "SPLIT a BEGIN 0 END 30 BY TIME 10 sec STRIDE 0 sec INTO ca;
+                SPLIT b BEGIN 0 END 30 BY TIME 10 sec STRIDE 0 sec INTO cb;
+                PROCESS ca USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS WITH SCHEMA (count:NUMBER=0) INTO ta;
+                PROCESS cb USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS WITH SCHEMA (count:NUMBER=0) INTO tb;
+                SELECT COUNT(*) FROM ta CONSUMING 0.1;
+                SELECT COUNT(*) FROM tb CONSUMING 0.1;";
+    assert_eq!(svc.register_standing_query("both", 11, both).unwrap(), 0);
+    assert_eq!(drain(), Vec::new());
+    // B's two 30 s queries + `both`'s window [0, 30). Its B half is the
+    // PROCESS `b-count-30` runs, so it rides that tail: B's chunks still run
+    // once per distinct window. Its A half runs now (tier 2 holds A's window
+    // under the other queries' plans, which name their table differently).
+    assert_eq!(svc.append_frames("b", half_minute(0, 0)).unwrap().standing_fired, 3);
+    assert_eq!(drain(), [on("a", &[0, 10, 20]), on("b", &[0, 0, 10, 10, 20, 20])].concat());
+    // B's 30 s and 60 s queries + `both`'s window [30, 60).
+    assert_eq!(svc.append_frames("b", half_minute(30, 2)).unwrap().standing_fired, 5);
+    assert_eq!(drain(), [on("a", &[30, 40, 50]), on("b", &[30, 30, 40, 40, 50, 50])].concat());
+    let firings = svc.standing_results("both").unwrap();
+    assert_eq!(firings.iter().map(|f| f.window).collect::<Vec<_>>(), [
+        TimeSpan::between_secs(0.0, 30.0),
+        TimeSpan::between_secs(30.0, 60.0)
+    ]);
+    // An append to the faster camera leaves `both` waiting for B.
+    assert_eq!(svc.append_frames("a", half_minute(60, 4)).unwrap().standing_fired, 3, "a-count-30, a-sum-30, a-late");
+    assert_eq!(svc.standing_results("both").unwrap().len(), 2);
 }
