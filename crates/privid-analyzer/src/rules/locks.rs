@@ -11,6 +11,14 @@
 //! - temporary guards (no `let` in the statement) die at the statement's `;`;
 //! - scoped-call guards die at the call's closing parenthesis.
 //!
+//! ## Parking
+//!
+//! `Condvar::{wait, wait_timeout, wait_while, wait_timeout_while}` releases
+//! the guard it is handed and parks the thread; every *other* guard stays
+//! held for as long as the thread sleeps, and whoever would wake it may need
+//! one of them. Parking while any guard other than the one passed to the
+//! wait is live is therefore a finding, whatever the declared order says.
+//!
 //! Cross-function nesting (a function that acquires a lock calling another
 //! that acquires a second) is invisible here by design — the same
 //! module-granularity trade-off the crate docs describe. The declared order
@@ -50,6 +58,9 @@ struct Guard {
     lock: Option<String>,
     /// The receiver identifier as written (for diagnostics).
     raw: String,
+    /// The `let` binding holding the guard, if any — how a condvar wait
+    /// names the one guard it releases.
+    binding: Option<String>,
     /// Literal subscript in the receiver chain (`shards[3].…` → 3), for
     /// indexed lock families.
     index: Option<u64>,
@@ -68,6 +79,7 @@ pub fn check(cx: &FileCx<'_>) -> Vec<Diagnostic> {
     let mut brace: i32 = 0;
     let mut paren: i32 = 0;
     let mut saw_let = false;
+    let mut binding: Option<String> = None;
     for i in 0..toks.len() {
         let t = &toks[i];
         if cx.is_test[i] {
@@ -106,6 +118,32 @@ pub fn check(cx: &FileCx<'_>) -> Vec<Diagnostic> {
             TokKind::Ident => {
                 if t.text == "let" {
                     saw_let = true;
+                    let name = if ident_at(toks, i + 1) == Some("mut") { i + 2 } else { i + 1 };
+                    binding = ident_at(toks, name).map(str::to_string);
+                    continue;
+                }
+                // A condvar wait: `.wait*(guard, …)` — never an empty
+                // argument list, which is `Child::wait()` and friends.
+                let is_wait = matches!(t.text.as_str(), "wait" | "wait_timeout" | "wait_while" | "wait_timeout_while")
+                    && i >= 1
+                    && is_punct(toks, i - 1, '.')
+                    && is_punct(toks, i + 1, '(')
+                    && !is_punct(toks, i + 2, ')');
+                if is_wait {
+                    let released = ident_at(toks, i + 2);
+                    for held in stack.iter().filter(|g| released.is_none() || g.binding.as_deref() != released) {
+                        out.push(cx.diag(
+                            RuleId::LockOrder,
+                            t.line,
+                            format!(
+                                "parks in `{}` while holding `{}` (line {}); a waiting thread may hold only the \
+                                 guard it waits with",
+                                t.text,
+                                held.lock.as_deref().unwrap_or(&held.raw),
+                                held.line
+                            ),
+                        ));
+                    }
                     continue;
                 }
                 // `.lock()` / `.read()` / `.write()` with an empty arg list.
@@ -121,6 +159,7 @@ pub fn check(cx: &FileCx<'_>) -> Vec<Diagnostic> {
                     let guard = Guard {
                         lock: Some(lock.clone()),
                         raw: t.text.clone(),
+                        binding: None,
                         index: literal_index(toks, i),
                         extent: Extent::Call(paren),
                         line: t.line,
@@ -131,7 +170,9 @@ pub fn check(cx: &FileCx<'_>) -> Vec<Diagnostic> {
                     let receiver = i.checked_sub(2).and_then(|j| ident_at(toks, j)).unwrap_or("<expr>").to_string();
                     let lock = cx.cfg.lock_aliases.get(&receiver).cloned();
                     let extent = if saw_let { Extent::Block(brace) } else { Extent::Statement(brace) };
-                    let guard = Guard { lock, raw: receiver, index: literal_index(toks, i), extent, line: t.line };
+                    let binding = binding.take().filter(|_| saw_let);
+                    let guard =
+                        Guard { lock, raw: receiver, binding, index: literal_index(toks, i), extent, line: t.line };
                     validate(cx, &stack, &guard, &mut out);
                     stack.push(guard);
                 }

@@ -154,6 +154,61 @@ fn lock_order_sees_through_scoped_calls() {
     assert!(!rules_of("src/svc.rs", fine).contains(&RuleId::LockOrder));
 }
 
+#[test]
+fn lock_order_accepts_a_condvar_wait_holding_only_its_own_guard() {
+    // The guard handed to the wait is released while the thread sleeps.
+    let alone = "fn f(&self) {\n    let g = self.state.lock();\n    let _ = self.cv.wait_timeout(g, tick);\n}\n";
+    assert!(!rules_of("src/svc.rs", alone).contains(&RuleId::LockOrder));
+    // A guard dropped before the wait is not held across it, and an empty
+    // argument list is not a condvar wait at all (`Child::wait()`).
+    let dropped =
+        "fn f(&self) {\n    self.cameras.write().clear();\n    let mut g = self.state.lock();\n    g = self.cv.wait(g);\n}\n";
+    assert!(!rules_of("src/svc.rs", dropped).contains(&RuleId::LockOrder));
+    let child = "fn f(&self) {\n    let g = self.state.lock();\n    self.child.wait();\n}\n";
+    assert!(!rules_of("src/svc.rs", child).contains(&RuleId::LockOrder));
+}
+
+#[test]
+fn lock_order_flags_parking_while_another_lock_is_held() {
+    // Declared order respected, and still a deadlock: whoever would notify
+    // may need `camera-registry`, which sleeps with this thread.
+    let parked =
+        "fn f(&self) {\n    let c = self.cameras.write();\n    let g = self.state.lock();\n    let g = self.cv.wait(g);\n}\n";
+    let (findings, _) = check_source("src/svc.rs", parked, &fixture_config());
+    assert!(
+        findings.iter().any(|d| d.rule == RuleId::LockOrder && d.message.contains("parks in `wait`")),
+        "{findings:?}"
+    );
+    // Every wait flavour parks, and a guard not handed to the wait is held.
+    for wait in ["wait_timeout(g, tick)", "wait_while(g, |n| *n == 0)", "wait_timeout_while(g, tick, |n| *n == 0)"] {
+        let src = format!("fn f(&self) {{\n    let c = self.cameras.write();\n    let g = self.state.lock();\n    let _ = self.cv.{wait};\n}}\n");
+        assert!(rules_of("src/svc.rs", &src).contains(&RuleId::LockOrder), "{wait}");
+    }
+    let wrong = "fn f(&self, other: Guard) {\n    let g = self.state.lock();\n    let _ = self.cv.wait(other);\n}\n";
+    assert!(rules_of("src/svc.rs", wrong).contains(&RuleId::LockOrder));
+}
+
+/// The committed analyzer.toml must declare the server's firing signal — the
+/// one mutex a thread parks with — as a leaf after `conn-registry`.
+#[test]
+fn committed_config_declares_the_firing_signal_as_a_leaf() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root above crates/privid-analyzer");
+    let toml = std::fs::read_to_string(root.join("analyzer.toml")).expect("committed analyzer.toml");
+    let cfg = Config::parse(&toml).expect("committed analyzer.toml parses");
+    assert_eq!(cfg.lock_aliases.get("generation").map(String::as_str), Some("firing-signal"));
+    assert!(cfg.lock_rank("firing-signal") > cfg.lock_rank("conn-registry"));
+    assert_eq!(cfg.lock_rank("firing-signal"), Some(cfg.lock_order.len() - 1));
+
+    // Parking on it next to the standing registry is the deadlock the rule
+    // exists for: the appender that would signal needs that registry.
+    let parked = "fn f(&self) {\n    let s = self.standing.lock();\n    let g = self.generation.lock();\n    let _ = self.published.wait_timeout(g, tick);\n}\n";
+    let (findings, _) = check_source("crates/privid-server/src/server.rs", parked, &cfg);
+    assert!(findings.iter().any(|d| d.rule == RuleId::LockOrder), "{findings:?}");
+}
+
 // ---- panic-freedom --------------------------------------------------------
 
 #[test]

@@ -24,9 +24,24 @@
 //! frames are limited to [`PRE_AUTH_MAX_PAYLOAD`] — an anonymous peer cannot
 //! make one length prefix size a 16 MiB allocation.
 //!
-//! Shutdown is cooperative: a flag plus short socket timeouts. No thread
-//! blocks longer than [`TICK`] without re-checking the flag, and
-//! [`Server::shutdown`] joins every thread before returning.
+//! Threads block on events, not on a clock. The accept thread parks in
+//! `accept()`; a `StreamFirings` long-poll parks on the server's firing
+//! signal ([`Signals`]), which a connection raises once it has queued the
+//! reply of a request that fired standing windows. The wake follows the ack
+//! on purpose: a subscriber woken from inside the pump answers — and has its
+//! follow-up query served — ahead of the append's own ack (measured on one
+//! core: appends 31–40 % slower), so "firing published" reaches the waiters
+//! only after the appender's response is on its way.
+//!
+//! Shutdown is cooperative: [`Server::shutdown`] (and `Drop`) raises a flag,
+//! wakes the accept thread by connecting to it, wakes every parked long-poll
+//! through the signal, and joins every thread. What [`TICK`] still bounds:
+//! a connection idle in `read` (its socket timeout) or stalled on a full
+//! write queue or a full socket notices the flag within one tick; a firing
+//! published by an in-process `QueryService::append_frames` — behind the
+//! server's back, so nothing raises the signal — reaches a parked long-poll
+//! within one tick; and an `accept` that keeps failing backs off one tick
+//! per failure.
 
 use crate::auth::{AuthRegistry, Identity, Role, Token};
 use crate::net::{read_frame, write_frame, FrameError, ReadFrame};
@@ -37,16 +52,18 @@ use privid_video::{
     SceneConfig, SceneGenerator, TimeSpan, TrackedObject,
 };
 use privid_wire::{code, RemoteError, Request, Response, SceneKind, WalkerSpec, WirePoll, MAX_PAYLOAD};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long any blocking wait may last before the shutdown flag is
-/// re-checked (socket read timeout, accept poll, long-poll tick).
+/// The fallback period of every wait that has a wake-up: how long a socket
+/// read or write, a full write queue, or a parked long-poll may go without
+/// re-checking the shutdown flag (and, for the long-poll, without re-polling
+/// for firings nobody signalled), and the back-off after a failed `accept`.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Hard cap on a registered synthetic scene's duration (one week). Scene
@@ -63,8 +80,9 @@ const MAX_SCENE_SECS: f64 = privid_video::MAX_BATCH_SECS;
 pub const PRE_AUTH_MAX_PAYLOAD: u32 = 4 * 1024;
 
 /// Server-side ceiling on [`Request::StreamFirings`]'s `max_wait_ms`
-/// (PROTOCOL.md). A long-poll pins its handler thread (each tick re-takes
-/// the standing-registry lock); a `u32::MAX` wait would pin it for ~50 days.
+/// (PROTOCOL.md). A long-poll pins its handler thread (each wake-up or tick
+/// re-takes the standing-registry lock); a `u32::MAX` wait would pin it for
+/// ~50 days.
 /// Clients wanting to wait longer re-issue the poll with the same cursor.
 pub const MAX_STREAM_WAIT_MS: u32 = 30_000;
 
@@ -99,11 +117,54 @@ impl ServerConfig {
     }
 }
 
-/// A running front-end. Dropping without [`Server::shutdown`] leaks the
-/// threads until process exit; tests should always shut down.
+/// What one server's threads share to wake each other: the shutdown flag
+/// and the firing signal.
+struct Signals {
+    /// Raised once, by [`Server::stop`]; every blocking loop re-checks it.
+    shutdown: AtomicBool,
+    /// Bumped whenever a connection has acked a request that fired standing
+    /// windows, and at shutdown. A long-poll reads it *before* it polls and
+    /// parks only while it is unchanged, so a firing published between its
+    /// poll and its wait is never slept through.
+    generation: Mutex<u64>,
+    published: Condvar,
+}
+
+impl Signals {
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    // The counter is valid whatever a panicking holder was doing, and
+    // `publish` runs in `Drop`: every lock below recovers from poison.
+
+    fn generation(&self) -> u64 {
+        *self.generation.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake every parked long-poll.
+    fn publish(&self) {
+        let mut generation = self.generation.lock().unwrap_or_else(PoisonError::into_inner);
+        *generation = generation.wrapping_add(1);
+        drop(generation);
+        self.published.notify_all();
+    }
+
+    /// Park until the generation moves past `seen` or `timeout` elapses. A
+    /// spurious wake-up only costs the caller one extra poll.
+    fn wait_past(&self, seen: u64, timeout: Duration) {
+        let generation = self.generation.lock().unwrap_or_else(PoisonError::into_inner);
+        if *generation == seen {
+            let _ = self.published.wait_timeout(generation, timeout);
+        }
+    }
+}
+
+/// A running front-end. [`Server::shutdown`] stops it and joins its threads;
+/// dropping it does the same.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    signals: Arc<Signals>,
     accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -117,49 +178,52 @@ impl Server {
     /// Bind an explicit address and start serving.
     pub fn bind(addr: &str, service: Arc<QueryService>, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let signals =
+            Arc::new(Signals { shutdown: AtomicBool::new(false), generation: Mutex::new(0), published: Condvar::new() });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let auth = Arc::new(AuthRegistry::new(config.tokens));
         let queue = config.write_queue_frames.max(1);
         let max_connections = config.max_connections.max(1);
 
         let accept = {
-            let shutdown = Arc::clone(&shutdown);
+            let signals = Arc::clone(&signals);
             let conns = Arc::clone(&conns);
-            thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let mut conns = conns.lock().expect("connection registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-                            // Reap finished handlers on every accept: the
-                            // registry holds only live connections, so
-                            // neither handles nor threads grow with uptime.
-                            conns.retain(|handle| !handle.is_finished());
-                            if conns.len() >= max_connections {
-                                drop(conns);
-                                refuse_busy(stream);
-                                continue;
-                            }
-                            let service = Arc::clone(&service);
-                            let auth = Arc::clone(&auth);
-                            let flag = Arc::clone(&shutdown);
-                            let handle = thread::spawn(move || {
-                                // A connection failing is that connection's
-                                // problem; the server keeps serving.
-                                let _ = serve_connection(stream, service, auth, flag, queue);
-                            });
-                            conns.push(handle);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(TICK),
-                        Err(_) => thread::sleep(TICK),
-                    }
+            thread::spawn(move || loop {
+                let accepted = listener.accept();
+                // Checked after every return from `accept`: the connection
+                // that woke us at shutdown (or a straggler racing it) is
+                // dropped here without ever getting a handler.
+                if signals.is_shutdown() {
+                    return;
                 }
+                let Ok((stream, _)) = accepted else {
+                    // Typically EMFILE: retrying at once would spin a core.
+                    thread::sleep(TICK);
+                    continue;
+                };
+                let mut conns = conns.lock().expect("connection registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+                // Reap finished handlers on every accept: the registry holds
+                // only live connections, so neither handles nor threads grow
+                // with uptime.
+                conns.retain(|handle| !handle.is_finished());
+                if conns.len() >= max_connections {
+                    drop(conns);
+                    refuse_busy(stream);
+                    continue;
+                }
+                let service = Arc::clone(&service);
+                let auth = Arc::clone(&auth);
+                let signals = Arc::clone(&signals);
+                conns.push(thread::spawn(move || {
+                    // A connection failing is that connection's problem; the
+                    // server keeps serving.
+                    let _ = serve_connection(stream, service, auth, signals, queue);
+                }));
             })
         };
 
-        Ok(Server { addr, shutdown, accept: Some(accept), conns })
+        Ok(Server { addr, signals, accept: Some(accept), conns })
     }
 
     /// The bound address (use with an ephemeral-port bind).
@@ -168,20 +232,56 @@ impl Server {
     }
 
     /// Stop accepting, wake every connection, and join all threads. In-flight
-    /// requests finish; idle connections close at their next tick.
+    /// requests finish; parked long-polls answer `SHUTTING_DOWN` at once;
+    /// idle connections close at their next tick.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let handles = {
-            let mut conns = self.conns.lock().expect("connection registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-            std::mem::take(&mut *conns)
+        self.stop();
+    }
+
+    /// What `shutdown` and `Drop` both do; a second call finds nothing left.
+    fn stop(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
         };
+        self.signals.shutdown.store(true, Ordering::SeqCst);
+        self.signals.publish();
+        // The accept thread is parked in `accept()`: hand it a connection.
+        // One that succeeds is enough (every return from `accept` re-checks
+        // the flag); one that fails (this process out of descriptors) is
+        // retried until the thread has gone.
+        let wake = wake_addr(self.addr);
+        while !accept.is_finished() {
+            if TcpStream::connect_timeout(&wake, TICK).is_ok() {
+                break;
+            }
+            thread::sleep(TICK);
+        }
+        let _ = accept.join();
+        // Not `expect`: this runs in `Drop`, and the handles are valid
+        // whatever a panicking holder was doing.
+        let handles = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in handles {
             let _ = handle.join();
         }
     }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Where a connection reaches the listener bound at `bound`: itself, or — a
+/// wildcard bind is not a destination everywhere — loopback of its family.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
 }
 
 /// Refuse a connection accepted past the cap: one typed, retryable error
@@ -229,16 +329,19 @@ fn serve_connection(
     mut stream: TcpStream,
     service: Arc<QueryService>,
     auth: Arc<AuthRegistry>,
-    shutdown: Arc<AtomicBool>,
+    signals: Arc<Signals>,
     queue_frames: usize,
 ) -> Result<Done, FrameError> {
     stream.set_read_timeout(Some(TICK))?;
+    // Shared with the writer's clone: a peer that stops reading must not
+    // hold the writer in `write` past shutdown.
+    stream.set_write_timeout(Some(TICK))?;
     stream.set_nodelay(true)?;
     let write_half = stream.try_clone()?;
     let (tx, rx) = sync_channel::<Vec<u8>>(queue_frames);
-    let writer = spawn_writer(write_half, rx);
+    let writer = spawn_writer(write_half, rx, Arc::clone(&signals));
 
-    let result = connection_loop(&mut stream, &service, &auth, &shutdown, &tx);
+    let result = connection_loop(&mut stream, &service, &auth, &signals, &tx);
 
     // Close the queue, let the writer drain what was accepted, then join.
     drop(tx);
@@ -246,12 +349,13 @@ fn serve_connection(
     result
 }
 
-fn spawn_writer(mut stream: TcpStream, rx: Receiver<Vec<u8>>) -> JoinHandle<()> {
+fn spawn_writer(mut stream: TcpStream, rx: Receiver<Vec<u8>>, signals: Arc<Signals>) -> JoinHandle<()> {
     thread::spawn(move || {
         while let Ok(frame) = rx.recv() {
-            if write_frame(&mut stream, &frame).is_err() {
-                // Peer gone: drain the queue so the handler never blocks on
-                // a channel nobody reads, then quit.
+            if write_until_shutdown(&mut stream, &frame, &signals).is_err() {
+                // Peer gone (or not reading, at shutdown): drain the queue so
+                // the handler never blocks on a channel nobody reads, then
+                // quit.
                 while rx.recv().is_ok() {}
                 return;
             }
@@ -259,9 +363,31 @@ fn spawn_writer(mut stream: TcpStream, rx: Receiver<Vec<u8>>) -> JoinHandle<()> 
     })
 }
 
+/// `write_all` over the socket's [`TICK`] write timeout: a write that stalls
+/// on a full socket is retried — that is the backpressure — until the
+/// shutdown flag is up, then abandoned. A peer that is reading still gets
+/// everything queued for it, the `SHUTTING_DOWN` frame included; one that
+/// stopped reading costs shutdown one tick.
+fn write_until_shutdown(stream: &mut TcpStream, mut frame: &[u8], signals: &Signals) -> io::Result<()> {
+    while !frame.is_empty() {
+        match stream.write(frame) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => frame = frame.get(n..).unwrap_or_default(),
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                if signals.is_shutdown() {
+                    return Err(e);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Encode and enqueue one response. Blocks when the bounded queue is full —
 /// that *is* the backpressure. Returns `false` when the writer is gone.
-fn enqueue(tx: &SyncSender<Vec<u8>>, shutdown: &AtomicBool, resp: &Response) -> bool {
+fn enqueue(tx: &SyncSender<Vec<u8>>, signals: &Signals, resp: &Response) -> bool {
     let mut frame = Vec::new();
     if resp.encode(&mut frame).is_err() {
         // A response too large for the wire (e.g. a poll with a pathological
@@ -283,7 +409,7 @@ fn enqueue(tx: &SyncSender<Vec<u8>>, shutdown: &AtomicBool, resp: &Response) -> 
         match tx.try_send(frame) {
             Ok(()) => return true,
             Err(TrySendError::Full(f)) => {
-                if shutdown.load(Ordering::Relaxed) {
+                if signals.is_shutdown() {
                     return false;
                 }
                 thread::sleep(TICK);
@@ -298,7 +424,7 @@ fn connection_loop(
     stream: &mut TcpStream,
     service: &QueryService,
     auth: &AuthRegistry,
-    shutdown: &AtomicBool,
+    signals: &Signals,
     tx: &SyncSender<Vec<u8>>,
 ) -> Result<Done, FrameError> {
     let mut identity: Option<Identity> = None;
@@ -306,11 +432,11 @@ fn connection_loop(
         // Until `Hello` succeeds the peer is anonymous: its frames are held
         // to the small pre-auth cap, not the protocol's 16 MiB.
         let cap = if identity.is_some() { MAX_PAYLOAD } else { PRE_AUTH_MAX_PAYLOAD };
-        let (op, payload) = match read_frame(stream, shutdown, cap) {
+        let (op, payload) = match read_frame(stream, &signals.shutdown, cap) {
             Ok(ReadFrame::Frame(op, payload)) => (op, payload),
             Ok(ReadFrame::Eof) => return Ok(Done::Closed),
             Ok(ReadFrame::Shutdown) => {
-                let _ = enqueue(tx, shutdown, &Response::Error(RemoteError {
+                let _ = enqueue(tx, signals, &Response::Error(RemoteError {
                     code: code::SHUTTING_DOWN,
                     retryable: true,
                     message: "server shutting down".into(),
@@ -328,7 +454,7 @@ fn connection_loop(
                 // The frame layer was intact (we consumed exactly the
                 // advertised payload), so the stream is still synchronized:
                 // reply with the typed failure and keep serving.
-                let ok = enqueue(tx, shutdown, &Response::Error(RemoteError {
+                let ok = enqueue(tx, signals, &Response::Error(RemoteError {
                     code: code::BAD_REQUEST,
                     retryable: false,
                     message: e.to_string(),
@@ -340,9 +466,14 @@ fn connection_loop(
             }
         };
 
-        let (response, close) = handle_request(service, auth, shutdown, &mut identity, &request);
-        if !enqueue(tx, shutdown, &response) || close {
+        let (response, close) = handle_request(service, auth, signals, &mut identity, &request);
+        if !enqueue(tx, signals, &response) || close {
             return Ok(Done::Closed);
+        }
+        // Only now, with the ack queued ahead of them, wake the long-polls
+        // (see the module doc for why not earlier).
+        if matches!(response, Response::AppendOk { standing_fired: 1.., .. } | Response::StandingOk { fired: 1.. }) {
+            signals.publish();
         }
     }
 }
@@ -361,7 +492,7 @@ fn privid_err(e: &PrividError) -> Response {
 fn handle_request(
     service: &QueryService,
     auth: &AuthRegistry,
-    shutdown: &AtomicBool,
+    signals: &Signals,
     identity: &mut Option<Identity>,
     request: &Request<'_>,
 ) -> (Response, bool) {
@@ -444,7 +575,7 @@ fn handle_request(
             }
         }
         Request::StreamFirings { name, cursor, max_wait_ms } => {
-            stream_firings(service, shutdown, &id.tenant, name, *cursor, *max_wait_ms)
+            stream_firings(service, signals, &id.tenant, name, *cursor, *max_wait_ms)
         }
         Request::RemainingBudget { camera, at_secs } => {
             Response::BudgetOk { remaining: service.remaining_budget(camera, *at_secs) }
@@ -461,30 +592,39 @@ fn unknown_standing(name: &str) -> Response {
     remote(code::UNKNOWN_STANDING_QUERY, false, format!("no standing query named {name}"))
 }
 
+fn clamped_wait(max_wait_ms: u32) -> Duration {
+    Duration::from_millis(u64::from(max_wait_ms.min(MAX_STREAM_WAIT_MS)))
+}
+
 /// Long-poll: return as soon as a firing past `cursor` exists, else when
 /// `max_wait_ms` (clamped to [`MAX_STREAM_WAIT_MS`]) elapses (with whatever
-/// the final poll shows), else when the server shuts down.
+/// the final poll shows), else when the server shuts down. Between polls it
+/// parks on the firing signal; the [`TICK`] timeout is only the net under
+/// firings published without a signal (in-process appends).
 fn stream_firings(
     service: &QueryService,
-    shutdown: &AtomicBool,
+    signals: &Signals,
     tenant: &str,
     name: &str,
     cursor: u64,
     max_wait_ms: u32,
 ) -> Response {
-    let wait_ms = max_wait_ms.min(MAX_STREAM_WAIT_MS);
-    let deadline = Instant::now() + Duration::from_millis(u64::from(wait_ms));
+    let deadline = Instant::now() + clamped_wait(max_wait_ms);
     loop {
+        // Read before polling: a firing published after this poll moves the
+        // generation, and `wait_past` then returns without parking.
+        let seen = signals.generation();
         let Some(poll) = service.standing_results_since_as(tenant, name, cursor) else {
             return unknown_standing(name);
         };
-        if !poll.firings.is_empty() || Instant::now() >= deadline {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if !poll.firings.is_empty() || remaining.is_zero() {
             return Response::PollOk(WirePoll::from_core(&poll));
         }
-        if shutdown.load(Ordering::Relaxed) {
+        if signals.is_shutdown() {
             return remote(code::SHUTTING_DOWN, true, "server shutting down");
         }
-        thread::sleep(TICK.min(deadline.saturating_duration_since(Instant::now())));
+        signals.wait_past(seen, TICK.min(remaining));
     }
 }
 
@@ -570,4 +710,28 @@ fn build_batch(duration_secs: f64, walkers: &[WalkerSpec]) -> Result<FrameBatch,
         ));
     }
     Ok(FrameBatch::new(duration_secs, objects))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_long_poll_wait_is_clamped_to_the_server_ceiling() {
+        assert_eq!(clamped_wait(0), Duration::ZERO);
+        assert_eq!(clamped_wait(200), Duration::from_millis(200));
+        assert_eq!(clamped_wait(MAX_STREAM_WAIT_MS + 1), Duration::from_secs(30));
+        assert_eq!(clamped_wait(u32::MAX), Duration::from_secs(30));
+    }
+
+    #[test]
+    fn a_connection_accepted_after_the_flag_gets_no_handler() {
+        let mut server = Server::start(Arc::new(QueryService::new()), ServerConfig::new(Vec::new())).unwrap();
+        server.signals.shutdown.store(true, Ordering::SeqCst);
+        // A straggler, not `stop`'s own wake-up: the accept thread must drop
+        // it and exit rather than spawn a handler for it.
+        let _straggler = TcpStream::connect(server.addr()).unwrap();
+        server.accept.take().unwrap().join().unwrap();
+        assert!(server.conns.lock().unwrap().is_empty());
+    }
 }
